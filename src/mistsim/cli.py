@@ -7,6 +7,7 @@ to stdout. Failures exit nonzero with a JSON error record on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -21,23 +22,7 @@ from .strip import fan_diagram, find_avoided_crossings, g_eff_perturbative
 from .sweep import SweepConfig, config_hash, run_oracle_check, run_sweep, strip_for_detuning
 from .transmon import k_bend
 
-CONFIG_KEYS = [
-    "e_c",
-    "k_eff",
-    "g",
-    "omega_r",
-    "omega_d",
-    "kappa",
-    "epsilon",
-    "duration",
-    "level_count",
-    "charge_cutoff",
-    "dt",
-    "sample_stride",
-    "threshold",
-    "nbar_step",
-    "workers",
-]
+CONFIG_KEYS = [f.name for f in dataclasses.fields(SweepConfig)]
 
 
 class _JsonErrorParser(argparse.ArgumentParser):
@@ -80,12 +65,6 @@ def _build_config(args) -> SweepConfig:
         data["k_eff"] = None
     if getattr(args, "k_eff", None) is not None and getattr(args, "g", None) is None:
         data["g"] = None
-    if getattr(args, "delta_grid", None):
-        data["delta_grid"] = args.delta_grid
-    if getattr(args, "ng_grid", None):
-        data["n_g_grid"] = args.ng_grid
-    if getattr(args, "states", None):
-        data["initial_states"] = args.states
     return SweepConfig.from_dict(data)
 
 
@@ -227,8 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="detuning x offset-charge x state sweep")
     _add_physics_flags(p)
     p.add_argument("--delta-grid", dest="delta_grid", type=float, nargs="+")
-    p.add_argument("--ng-grid", dest="ng_grid", type=float, nargs="+")
-    p.add_argument("--states", dest="states", type=int, nargs="+")
+    p.add_argument("--ng-grid", dest="n_g_grid", type=float, nargs="+")
+    p.add_argument("--states", dest="initial_states", type=int, nargs="+")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep)
 

@@ -5,11 +5,17 @@ midpoint (time and field), via spectral decomposition; unitarity is then exact
 up to rounding, with no stiffness tuning. Populations of the instantaneous
 eigenstates are sampled on a coarser grid, with branch identity carried from
 the bare labels at alpha = 0 by maximal eigenvector overlap.
+``evolve_piecewise_constant`` is the one step kernel, and ``member_survival``
+the one per-member computation behind both the sweep and
+``charge_averaged_survival``.
 
 Internally the propagation runs in a rotated gauge where the bond phase
 u(t) = (alpha/|alpha|) * exp(i*2*pi*(omega_r - omega_d)*t) is peeled off into
 diagonal phase factors u^k, leaving a real symmetric tridiagonal matrix per
-step. Observables (populations, norms) are identical to the lab-gauge ones.
+step. When u(t) varies in time the kernel's ``frame`` argument applies the
+phase factors around each step, so the state stays in the lab gauge; when it
+is constant (every resonant sweep member) no frame is needed. Observables
+(populations, norms) are identical to the lab-gauge ones.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .field import DriveConfig, field_amplitude
-from .strip import StripConfig, bond_amplitudes, match_branches
+from .strip import StripConfig, bond_amplitudes, track_branches, tridiagonal_stack
 from .transmon import diagonalize
 
 __all__ = [
@@ -28,6 +34,7 @@ __all__ = [
     "SurvivalCurve",
     "propagate",
     "survival_vs_nbar",
+    "member_survival",
     "charge_averaged_survival",
     "evolve_piecewise_constant",
 ]
@@ -106,13 +113,17 @@ def evolve_piecewise_constant(
     dt: float,
     psi0: np.ndarray,
     sample_stride: int = 1,
+    frame: np.ndarray | None = None,
 ) -> np.ndarray:
     """Apply exp(-i*2*pi*H_s*dt) step by step; return states at sample points.
 
     ``hamiltonians`` is a (steps, K, K) Hermitian stack (GHz), one matrix per
     step, already evaluated at whatever instant the caller chose (midpoint for
-    second-order accuracy). The returned array holds the state before any
-    step, after every ``sample_stride`` steps, and after the final step.
+    second-order accuracy). An optional (steps, K) ``frame`` of diagonal phase
+    factors D_s makes step s apply D_s exp(-i*2*pi*H_s*dt) D_s^dag instead,
+    which lets a real gauge-rotated stack drive a lab-gauge state. The
+    returned array holds the state before any step, after every
+    ``sample_stride`` steps, and after the final step.
     """
     steps = hamiltonians.shape[0]
     evals, evecs = np.linalg.eigh(hamiltonians)
@@ -121,30 +132,31 @@ def evolve_piecewise_constant(
     out = [psi.copy()]
     for s in range(steps):
         v = evecs[s]
-        psi = v @ (phases[s] * (v.conj().T @ psi))
+        if frame is None:
+            psi = v @ (phases[s] * (v.conj().T @ psi))
+        else:
+            psi = frame[s] * (v @ (phases[s] * (v.conj().T @ (np.conj(frame[s]) * psi))))
         if (s + 1) % sample_stride == 0 or s == steps - 1:
             out.append(psi.copy())
     return np.array(out)
 
 
-def _sample_steps(steps: int, stride: int) -> np.ndarray:
-    idx = np.arange(0, steps + 1, stride)
-    if idx[-1] != steps:
-        idx = np.append(idx, steps)
-    return idx
+def _sample_times(config: SimulationConfig) -> np.ndarray:
+    """Times (ns) of the states ``propagate`` samples: every stride, and the end."""
+    steps = int(round(config.drive.duration / config.dt))
+    stride = config.sample_stride
+    return np.minimum(np.arange(0, steps + stride, stride), steps) * config.dt
 
 
-def _real_tridiagonal_stack(diag: np.ndarray, bonds: np.ndarray) -> np.ndarray:
-    """(S, K, K) real symmetric stack from one diagonal and per-step bonds."""
-    n_steps, n_bonds = bonds.shape
-    k_count = n_bonds + 1
-    h = np.zeros((n_steps, k_count, k_count))
-    rng = np.arange(k_count)
-    h[:, rng, rng] = diag
-    kb = np.arange(n_bonds)
-    h[:, kb, kb + 1] = bonds
-    h[:, kb + 1, kb] = bonds
-    return h
+def _gauge(strip: StripConfig, alpha: np.ndarray, mag: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Bond phase u(t) = (alpha/|alpha|) * exp(i*2*pi*(omega_r - omega_d)*t).
+
+    ``mag`` is |alpha| as the caller computed it (|alpha| or sqrt(nbar)), so
+    the phase rounds exactly as the stack it belongs to.
+    """
+    unit = np.where(mag > 0, alpha / np.where(mag > 0, mag, 1.0), 1.0)
+    theta = 2 * np.pi * (strip.omega_r - strip.omega_d)
+    return unit * np.exp(1j * theta * t)
 
 
 def propagate(config: SimulationConfig) -> PopulationTrace:
@@ -155,52 +167,26 @@ def propagate(config: SimulationConfig) -> PopulationTrace:
     trace is still returned.
     """
     strip_cfg = config.strip
-    drive = config.drive
     k_count = strip_cfg.level_count
     dt = config.dt
-    steps = int(round(drive.duration / dt))
+    steps = int(round(config.drive.duration / dt))
     diag = strip_cfg.rotating_diagonal
-
-    t_mid = (np.arange(steps) + 0.5) * dt
-    alpha_mid = field_amplitude(drive, t_mid)
-    bonds_mid = bond_amplitudes(strip_cfg, np.abs(alpha_mid) ** 2)
-
-    # propagate in the rotated gauge (real symmetric stack)
-    h_stack = _real_tridiagonal_stack(diag, bonds_mid)
-    evals, evecs = np.linalg.eigh(h_stack)
-    step_phases = np.exp(-2j * np.pi * evals * dt)
-
-    mag = np.abs(alpha_mid)
-    unit = np.where(mag > 0, alpha_mid / np.where(mag > 0, mag, 1.0), 1.0)
-    theta = 2 * np.pi * (strip_cfg.omega_r - strip_cfg.omega_d)
-    unit = unit * np.exp(1j * theta * t_mid)
-    gauge_varies = bool(np.any(np.abs(np.diff(unit)) > 1e-15))
     kvec = np.arange(k_count)
 
-    sample_idx = _sample_steps(steps, config.sample_stride)
-    psi = np.zeros(k_count, dtype=complex)
-    psi[config.initial_state] = 1.0
-    psis = np.empty((len(sample_idx), k_count), dtype=complex)
-    psis[0] = psi
-    out_pos = 1
-    if gauge_varies:
-        # lab-gauge state: psi <- D U_real D^dag psi with D = diag(conj(u)^k)
-        d_mid = np.conj(unit)[:, None] ** kvec[None, :]
-        for s in range(steps):
-            v = evecs[s]
-            rot = d_mid[s]
-            psi = rot * (v @ (step_phases[s] * (v.T @ (np.conj(rot) * psi))))
-            if s + 1 == sample_idx[out_pos]:
-                psis[out_pos] = psi
-                out_pos += 1
-    else:
-        # constant gauge: populations are gauge-independent for a bare start state
-        for s in range(steps):
-            v = evecs[s]
-            psi = v @ (step_phases[s] * (v.T @ psi))
-            if s + 1 == sample_idx[out_pos]:
-                psis[out_pos] = psi
-                out_pos += 1
+    t_mid = (np.arange(steps) + 0.5) * dt
+    alpha_mid = field_amplitude(config.drive, t_mid)
+    unit = _gauge(strip_cfg, alpha_mid, np.abs(alpha_mid), t_mid)
+    # lab-gauge state from the real rotated-gauge stack: D = diag(conj(u)^k);
+    # a constant gauge leaves the populations of a bare start state unchanged
+    gauge_varies = bool(np.any(np.abs(np.diff(unit)) > 1e-15))
+    frame = np.conj(unit)[:, None] ** kvec[None, :] if gauge_varies else None
+    psis = evolve_piecewise_constant(
+        tridiagonal_stack(diag, bond_amplitudes(strip_cfg, np.abs(alpha_mid) ** 2)),
+        dt,
+        np.eye(k_count)[config.initial_state],
+        config.sample_stride,
+        frame,
+    )
 
     norms = np.linalg.norm(psis, axis=1)
     if np.max(np.abs(norms - 1.0)) > NORM_TOL:
@@ -210,29 +196,18 @@ def propagate(config: SimulationConfig) -> PopulationTrace:
         )
 
     # instantaneous eigenbasis at sample times, tracked from the bare labels
-    t_s = sample_idx * dt
-    alpha_s = field_amplitude(drive, t_s)
+    t_s = _sample_times(config)
+    alpha_s = field_amplitude(config.drive, t_s)
     nbar_s = np.abs(alpha_s) ** 2
-    bonds_s = bond_amplitudes(strip_cfg, nbar_s)
-    h_s = _real_tridiagonal_stack(diag, bonds_s)
-    _, evecs_s = np.linalg.eigh(h_s)
-
+    _, evecs_s = np.linalg.eigh(tridiagonal_stack(diag, bond_amplitudes(strip_cfg, nbar_s)))
     if gauge_varies:
-        unit_s = np.where(nbar_s > 0, alpha_s / np.where(nbar_s > 0, np.sqrt(nbar_s), 1.0), 1.0)
-        unit_s = unit_s * np.exp(1j * theta * t_s)
+        unit_s = _gauge(strip_cfg, alpha_s, np.sqrt(nbar_s), t_s)
         psis = psis * (unit_s[:, None] ** kvec[None, :])  # back to the rotated gauge
 
-    populations = np.empty((len(sample_idx), k_count))
-    flagged = []
-    cols = np.argsort(np.argmax(np.abs(evecs_s[0]), axis=0))
-    prev = evecs_s[0][:, cols]
-    populations[0] = np.abs(prev.T @ psis[0]) ** 2
-    for j in range(1, len(sample_idx)):
-        cols, low, ambiguous = match_branches(prev, evecs_s[j])
-        if low or ambiguous:
-            flagged.append(j)
-        prev = evecs_s[j][:, cols]
-        populations[j] = np.abs(prev.T @ psis[j]) ** 2
+    columns, flagged = track_branches(evecs_s)
+    populations = np.array(
+        [np.abs(v[:, c].T @ psi) ** 2 for v, c, psi in zip(evecs_s, columns, psis)]
+    )
 
     return PopulationTrace(
         times=t_s,
@@ -259,6 +234,12 @@ def survival_vs_nbar(trace: PopulationTrace) -> SurvivalCurve:
     )
 
 
+def member_survival(config: SimulationConfig, nbar_axis: np.ndarray) -> np.ndarray:
+    """Running-minimum survival of one member, interpolated onto ``nbar_axis``."""
+    curve = survival_vs_nbar(propagate(config))
+    return np.interp(nbar_axis, curve.nbar_axis, curve.survival_running_min)
+
+
 def _rebuild_at_offset_charge(config: SimulationConfig, n_g: float) -> SimulationConfig:
     params = config.strip.eigen.provenance
     if params is None:
@@ -277,27 +258,22 @@ def charge_averaged_survival(
 ) -> SurvivalCurve:
     """Uniform average of survival curves over an offset-charge grid.
 
-    Member curves are interpolated onto a common photon-number axis (the first
-    member's own axis unless one is given) and averaged with equal weights.
+    Member curves are interpolated onto a common photon-number axis (the
+    members' own sample-time axis unless one is given) and averaged with equal
+    weights.
     """
     if n_g_grid is None:
         n_g_grid = DEFAULT_NG_GRID
-    curves = []
+    if nbar_axis is None:
+        nbar_axis = np.abs(field_amplitude(base.drive, _sample_times(base))) ** 2
+    members = []
     for n_g in n_g_grid:
         try:
             cfg = _rebuild_at_offset_charge(base, float(n_g))
-            curves.append(survival_vs_nbar(propagate(cfg)))
+            members.append(member_survival(cfg, nbar_axis))
         except Exception as exc:
             raise RuntimeError(f"member simulation failed at n_g={n_g}") from exc
-    if nbar_axis is None:
-        nbar_axis = curves[0].nbar_axis.copy()
-    stacked = np.stack(
-        [
-            np.interp(nbar_axis, c.nbar_axis, c.survival_running_min)
-            for c in curves
-        ]
-    )
     return SurvivalCurve(
         nbar_axis=np.asarray(nbar_axis, float),
-        survival_running_min=stacked.mean(axis=0),
+        survival_running_min=np.stack(members).mean(axis=0),
     )

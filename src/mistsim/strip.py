@@ -19,6 +19,7 @@ __all__ = [
     "StripConfig",
     "SpectrumResult",
     "CrossingRecord",
+    "tridiagonal_stack",
     "effective_hamiltonian",
     "jtc_strip_hamiltonian",
     "fan_diagram",
@@ -26,6 +27,7 @@ __all__ = [
     "g_eff_perturbative",
     "bond_amplitudes",
     "match_branches",
+    "track_branches",
 ]
 
 
@@ -131,24 +133,34 @@ def bond_amplitudes(config: StripConfig, nbar) -> np.ndarray:
     return root * (config.eigen.couplings[: config.level_count - 1] * config.coupling)
 
 
+def tridiagonal_stack(diag: np.ndarray, bonds: np.ndarray) -> np.ndarray:
+    """(S, K, K) Hermitian stack from one diagonal and per-matrix bonds (S, K-1).
+
+    ``bonds`` fill the upper off-diagonal and their conjugates the lower one,
+    so the stack is real symmetric when the bonds are real.
+    """
+    n_stack, n_bonds = bonds.shape
+    k_count = n_bonds + 1
+    h = np.zeros((n_stack, k_count, k_count), dtype=np.result_type(diag, bonds))
+    rng = np.arange(k_count)
+    h[:, rng, rng] = diag
+    kb = np.arange(n_bonds)
+    h[:, kb, kb + 1] = bonds
+    h[:, kb + 1, kb] = bonds.conj()
+    return h
+
+
 def effective_hamiltonian(config: StripConfig, alpha: complex, t: float = 0.0) -> np.ndarray:
     """K x K Hermitian matrix (GHz) of the field-driven strip.
 
     The off-diagonal carries the field phase (alpha/|alpha|) * exp(i*2*pi*
     (omega_r - omega_d)*t); at alpha = 0 the interaction vanishes identically.
     """
-    k_count = config.level_count
-    h = np.zeros((k_count, k_count), dtype=complex)
-    h[np.diag_indices(k_count)] = config.rotating_diagonal
     mag = abs(alpha)
-    if mag > 0.0:
-        unit = alpha / mag
-        phase = unit * np.exp(2j * np.pi * (config.omega_r - config.omega_d) * t)
-        bonds = bond_amplitudes(config, mag**2)
-        idx = np.arange(k_count - 1)
-        h[idx, idx + 1] = phase * bonds
-        h[idx + 1, idx] = np.conj(phase) * bonds
-    return h
+    unit = alpha / mag if mag > 0.0 else 1.0
+    phase = unit * np.exp(2j * np.pi * (config.omega_r - config.omega_d) * t)
+    bonds = phase * bond_amplitudes(config, mag**2)
+    return tridiagonal_stack(config.rotating_diagonal, bonds[None])[0]
 
 
 def jtc_strip_hamiltonian(config: StripConfig, n_total: int) -> np.ndarray:
@@ -214,16 +226,25 @@ def match_branches(
     return columns, low_overlap, ambiguous
 
 
-def _anchor_to_bare(vecs: np.ndarray) -> np.ndarray:
-    """Column order mapping branch j -> eigenvector of bare level j.
+def track_branches(evecs: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Branch identity along a (S, K, K) eigenvector stack in eigenvalue order.
 
-    Valid at nbar = 0, where the Hamiltonian is diagonal and eigenvectors are
-    unit vectors up to ordering.
+    The first matrix must be diagonal (nbar = 0), so branch j is anchored to
+    the eigenvector of bare level j; each later point is matched to the
+    previous one by ``match_branches``. Returns (columns, flagged) where
+    ``columns[i, j]`` indexes the eigenvector of branch j at point i and
+    ``flagged`` lists the points with a low-overlap or ambiguous match.
     """
-    bare_of_col = np.argmax(np.abs(vecs), axis=0)
-    cols = np.empty(len(bare_of_col), dtype=int)
-    cols[bare_of_col] = np.arange(len(bare_of_col))
-    return cols
+    columns = np.empty(evecs.shape[:2], dtype=int)
+    columns[0, np.argmax(np.abs(evecs[0]), axis=0)] = np.arange(evecs.shape[2])
+    flagged = []
+    prev = evecs[0][:, columns[0]]
+    for i in range(1, len(evecs)):
+        columns[i], low, ambiguous = match_branches(prev, evecs[i])
+        if low or ambiguous:
+            flagged.append(i)
+        prev = evecs[i][:, columns[i]]
+    return columns, flagged
 
 
 def fan_diagram(config: StripConfig, nbar_grid: np.ndarray) -> SpectrumResult:
@@ -239,28 +260,13 @@ def fan_diagram(config: StripConfig, nbar_grid: np.ndarray) -> SpectrumResult:
     if np.any(np.diff(nbar_grid) <= 0):
         raise ValueError("nbar_grid must be sorted strictly ascending")
 
-    k_count = config.level_count
     diag = config.rotating_diagonal
-    bonds = bond_amplitudes(config, nbar_grid)
-    h_stack = np.zeros((len(nbar_grid), k_count, k_count))
-    rng = np.arange(k_count)
-    h_stack[:, rng, rng] = diag
-    kb = np.arange(k_count - 1)
-    h_stack[:, kb, kb + 1] = bonds
-    h_stack[:, kb + 1, kb] = bonds
-    evals, evecs = np.linalg.eigh(h_stack)
-
-    branches = np.empty((k_count, len(nbar_grid)))
-    flagged = []
-    cols = _anchor_to_bare(evecs[0])
+    evals, evecs = np.linalg.eigh(
+        tridiagonal_stack(diag, bond_amplitudes(config, nbar_grid))
+    )
+    columns, flagged = track_branches(evecs)
+    branches = np.take_along_axis(evals, columns, axis=1).T
     branches[:, 0] = diag  # exact bare energies at nbar = 0
-    prev = evecs[0][:, cols]
-    for i in range(1, len(nbar_grid)):
-        cols, low, ambiguous = match_branches(prev, evecs[i])
-        if low or ambiguous:
-            flagged.append(i)
-        branches[:, i] = evals[i][cols]
-        prev = evecs[i][:, cols]
     return SpectrumResult(nbar_grid=nbar_grid, branches=branches, flagged_points=flagged)
 
 

@@ -1,8 +1,9 @@
 """Detuning x offset-charge x initial-state sweeps with parallel workers.
 
-Every (delta, n_g, state) simulation is independent; workers are stateless and
-results are keyed by task index, so the output is identical for any worker
-count. Wall-clock metadata is kept out of the result files to preserve that.
+Every (delta, n_g, state) member is one independent ``member_survival`` call;
+workers are stateless and results are keyed by task index, so the output is
+identical for any worker count. Wall-clock metadata is kept out of the result
+files to preserve that.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import OnsetPoint, TransitionBoundary, boundary_to_dict, extract_onsets, fit_boundary
-from .dynamics import SimulationConfig, SurvivalCurve, propagate, survival_vs_nbar
+from .dynamics import SimulationConfig, SurvivalCurve, member_survival
 from .field import DriveConfig, field_amplitude
 from .strip import StripConfig, effective_hamiltonian, jtc_strip_hamiltonian
 from .transmon import TransmonParams, diagonalize, ej_for_frequency
@@ -79,6 +80,8 @@ class SweepConfig:
             raise ValueError("delta_grid, n_g_grid and initial_states must be non-empty")
         if any(b <= a for a, b in zip(self.delta_grid, self.delta_grid[1:])):
             raise ValueError("delta_grid must be strictly ascending")
+        if not self.nbar_step > 0:
+            raise ValueError(f"nbar_step must be positive, got {self.nbar_step}")
         if self.resolved_workers < 1:
             raise ValueError("worker count must be >= 1")
 
@@ -221,38 +224,17 @@ def _write_failure_artifacts(
     np.savez(os.path.join(out_dir, "partial_curves.npz"), **arrays)
 
 
-def _single_survival(
-    config: SweepConfig, e_j: float, n_g: float, state: int, nbar_axis: np.ndarray
-) -> np.ndarray:
-    params = TransmonParams(
-        e_c=config.e_c,
-        e_j=e_j,
-        n_g=n_g,
-        charge_cutoff=config.charge_cutoff,
-        level_count=config.level_count,
-    )
-    strip_cfg = StripConfig(
-        eigen=diagonalize(params),
-        omega_r=config.omega_r,
-        omega_d=config.resolved_omega_d,
-        g=config.g,
-        k_eff=config.k_eff,
-    )
+def _sweep_worker(task) -> np.ndarray:
+    config_dict, e_j, n_g, state, nbar_axis = task
+    config = SweepConfig.from_dict(config_dict)
     sim = SimulationConfig(
-        strip=strip_cfg,
+        strip=_strip_at(config, e_j, n_g),
         drive=config.drive(),
         initial_state=state,
         dt=config.dt,
         sample_stride=config.sample_stride,
     )
-    curve = survival_vs_nbar(propagate(sim))
-    return np.interp(nbar_axis, curve.nbar_axis, curve.survival_running_min)
-
-
-def _sweep_worker(task) -> np.ndarray:
-    config_dict, e_j, n_g, state, nbar_axis = task
-    config = SweepConfig.from_dict(config_dict)
-    return _single_survival(config, e_j, n_g, state, nbar_axis)
+    return member_survival(sim, nbar_axis)
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
@@ -348,6 +330,11 @@ def strip_for_detuning(config: SweepConfig, delta: float, n_g: float) -> StripCo
     (referenced at n_g = 0), then the transmon is diagonalized at ``n_g``.
     """
     e_j = ej_for_frequency(config.e_c, config.omega_r + delta, 0.0, config.charge_cutoff)
+    return _strip_at(config, e_j, n_g)
+
+
+def _strip_at(config: SweepConfig, e_j: float, n_g: float) -> StripConfig:
+    """Strip model of the sweep's transmon with junction energy ``e_j`` at ``n_g``."""
     params = TransmonParams(
         e_c=config.e_c,
         e_j=e_j,

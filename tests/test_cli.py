@@ -1,9 +1,12 @@
+import argparse
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from mistsim.cli import main
+from mistsim.cli import _build_config, build_parser, main
+from mistsim.sweep import SweepConfig
 
 
 def run_cli(capsys, *argv):
@@ -181,6 +184,21 @@ class TestSweepCommand:
         axis = heatmap[4].split(",")[1:]
         # 30 ns at the default drive reaches ~60 photons, not the 60 ns ~94
         assert float(axis[-1]) < 70.0
+
+    def test_every_config_flag_reaches_the_config(self, tmp_path):
+        parser = build_parser()
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        fields = {f.name for f in dataclasses.fields(SweepConfig)}
+        actions = [a for a in subparsers.choices["sweep"]._actions if a.dest in fields]
+        assert {"n_g_grid", "initial_states", "delta_grid"} <= {a.dest for a in actions}
+        for action in actions:
+            # 3 and [1, 2] pass every SweepConfig check for every field
+            value = [action.type(1), action.type(2)] if action.nargs == "+" else action.type(3)
+            words = [str(v) for v in value] if action.nargs == "+" else [str(value)]
+            args = parser.parse_args(
+                ["sweep", "--out", str(tmp_path), action.option_strings[0], *words]
+            )
+            assert getattr(_build_config(args), action.dest) == value, action.dest
 
 
 class TestOracleCheckCommand:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import mistsim.sweep as sweep_mod
+from mistsim.dynamics import SimulationConfig, charge_averaged_survival
 from mistsim.strip import effective_hamiltonian, jtc_strip_hamiltonian
 from mistsim.sweep import (
     SweepConfig,
@@ -13,6 +14,7 @@ from mistsim.sweep import (
     run_oracle_check,
     run_sweep,
     spectral_difference,
+    strip_for_detuning,
 )
 
 
@@ -94,6 +96,21 @@ class TestRunSweep:
         partial = np.load(out / "partial_curves.npz")
         assert len(partial.files) == 3  # nbar_axis + two completed curves
 
+    def test_rows_equal_charge_averaged_survival(self):
+        # the sweep and charge_averaged_survival share one member path
+        cfg = small_config(delta_grid=[1.1], n_g_grid=[-0.5, 0.2], duration=20.0)
+        result = run_sweep(cfg)
+        base = SimulationConfig(
+            strip=strip_for_detuning(cfg, 1.1, 0.0),
+            drive=cfg.drive(),
+            dt=cfg.dt,
+            sample_stride=cfg.sample_stride,
+        )
+        curve = charge_averaged_survival(
+            base, n_g_grid=np.array(cfg.n_g_grid), nbar_axis=result.nbar_axis
+        )
+        assert np.array_equal(result.heatmaps[0][0], curve.survival_running_min)
+
     def test_output_files_and_headers(self, tmp_path):
         out = tmp_path / "run"
         cfg = small_config(out_dir=str(out))
@@ -144,6 +161,10 @@ class TestSweepConfig:
             small_config(n_g_grid=[])
         with pytest.raises(ValueError, match="worker"):
             small_config(workers=0)
+        with pytest.raises(ValueError, match="nbar_step"):
+            small_config(nbar_step=0.0)
+        with pytest.raises(ValueError, match="nbar_step"):
+            small_config(nbar_step=-0.25)
 
     def test_resolved_drive_is_resonant_by_default(self):
         cfg = small_config()
