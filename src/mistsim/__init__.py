@@ -42,6 +42,7 @@ from .dynamics import (
     PopulationTrace,
     SurvivalCurve,
     propagate,
+    propagate_states,
     survival_vs_nbar,
     charge_averaged_survival,
 )
@@ -91,6 +92,7 @@ __all__ = [
     "PopulationTrace",
     "SurvivalCurve",
     "propagate",
+    "propagate_states",
     "survival_vs_nbar",
     "charge_averaged_survival",
     "DispersiveParams",

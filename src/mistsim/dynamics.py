@@ -6,7 +6,7 @@ up to rounding, with no stiffness tuning. Populations of the instantaneous
 eigenstates are sampled on a coarser grid, with branch identity carried from
 the bare labels at alpha = 0 by maximal eigenvector overlap.
 ``evolve_piecewise_constant`` is the one step kernel, and ``member_survival``
-the one per-member computation behind both the sweep and
+the one survival computation behind both the sweep and
 ``charge_averaged_survival``.
 
 Internally the propagation runs in a rotated gauge where the bond phase
@@ -16,6 +16,13 @@ step. When u(t) varies in time the kernel's ``frame`` argument applies the
 phase factors around each step, so the state stays in the lab gauge; when it
 is constant (every resonant sweep member) no frame is needed. Observables
 (populations, norms) are identical to the lab-gauge ones.
+
+The Hamiltonian depends on the strip and the drive, not on the prepared
+state. ``propagate_states`` therefore builds, diagonalizes and branch-tracks
+both stacks once and carries every prepared state through them; each state
+still gets its own matrix-vector products, so its numbers are bitwise those
+of a one-state run. ``propagate`` is its one-state form, and
+``member_survival`` takes all states of one (strip, drive) point together.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ __all__ = [
     "PopulationTrace",
     "SurvivalCurve",
     "propagate",
+    "propagate_states",
     "survival_vs_nbar",
     "member_survival",
     "charge_averaged_survival",
@@ -58,11 +66,14 @@ class SimulationConfig:
             raise ValueError(f"dt must be in (0, 0.05] ns, got {self.dt}")
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be >= 1")
-        if not 0 <= self.initial_state < self.strip.level_count:
-            raise ValueError(
-                f"initial_state {self.initial_state} outside the "
-                f"{self.strip.level_count} tracked levels"
-            )
+        _check_state(self.initial_state, self.strip.level_count)
+
+
+def _check_state(state: int, level_count: int) -> None:
+    if not 0 <= state < level_count:
+        raise ValueError(
+            f"initial_state {state} outside the {level_count} tracked levels"
+        )
 
 
 @dataclass
@@ -124,28 +135,39 @@ def evolve_piecewise_constant(
     which lets a real gauge-rotated stack drive a lab-gauge state. The
     returned array holds the state before any step, after every
     ``sample_stride`` steps, and after the final step.
+
+    ``psi0`` is one (K,) state, giving a (samples, K) result, or a (K, m)
+    block of m states in its columns, giving (samples, K, m). The
+    eigendecomposition is shared; each state is stepped by its own
+    matrix-vector products, so column j is bitwise the one-state result for
+    ``psi0[:, j]`` (a matrix-matrix product would round differently).
     """
     steps = hamiltonians.shape[0]
     evals, evecs = np.linalg.eigh(hamiltonians)
+    evecs_h = evecs.conj().transpose(0, 2, 1)  # a view when the stack is real
     phases = np.exp(-2j * np.pi * evals * dt)
-    psi = np.asarray(psi0, dtype=complex).copy()
-    out = [psi.copy()]
+    frame_c = None if frame is None else np.conj(frame)
+    start = np.asarray(psi0, dtype=complex)
+    # one contiguous (K,) array per state, replaced at every step
+    psi = [np.array(column) for column in np.atleast_2d(start.T)]
+    out = [psi]
     for s in range(steps):
-        v = evecs[s]
+        v, vh, p = evecs[s], evecs_h[s], phases[s]
         if frame is None:
-            psi = v @ (phases[s] * (v.conj().T @ psi))
+            psi = [v @ (p * (vh @ x)) for x in psi]
         else:
-            psi = frame[s] * (v @ (phases[s] * (v.conj().T @ (np.conj(frame[s]) * psi))))
+            d, dc = frame[s], frame_c[s]
+            psi = [d * (v @ (p * (vh @ (dc * x)))) for x in psi]
         if (s + 1) % sample_stride == 0 or s == steps - 1:
-            out.append(psi.copy())
-    return np.array(out)
+            out.append(psi)
+    states = np.array(out).transpose(0, 2, 1)
+    return states[:, :, 0] if start.ndim == 1 else states
 
 
-def _sample_times(config: SimulationConfig) -> np.ndarray:
+def _sample_times(duration: float, dt: float, stride: int) -> np.ndarray:
     """Times (ns) of the states ``propagate`` samples: every stride, and the end."""
-    steps = int(round(config.drive.duration / config.dt))
-    stride = config.sample_stride
-    return np.minimum(np.arange(0, steps + stride, stride), steps) * config.dt
+    steps = int(round(duration / dt))
+    return np.minimum(np.arange(0, steps + stride, stride), steps) * dt
 
 
 def _gauge(strip: StripConfig, alpha: np.ndarray, mag: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -166,8 +188,21 @@ def propagate(config: SimulationConfig) -> PopulationTrace:
     Samples where branch tracking saw an overlap below 0.5 are flagged but the
     trace is still returned.
     """
+    return propagate_states(config, [config.initial_state])[0]
+
+
+def propagate_states(config: SimulationConfig, states) -> list[PopulationTrace]:
+    """``propagate`` for each prepared eigenstate in ``states``, in one pass.
+
+    ``config.initial_state`` is ignored. The field, both Hamiltonian stacks,
+    their eigendecompositions and the branch tracking are computed once; the
+    trace of each state is bitwise the one ``propagate`` returns for it.
+    """
     strip_cfg = config.strip
     k_count = strip_cfg.level_count
+    states = [int(state) for state in states]
+    for state in states:
+        _check_state(state, k_count)
     dt = config.dt
     steps = int(round(config.drive.duration / dt))
     diag = strip_cfg.rotating_diagonal
@@ -180,44 +215,54 @@ def propagate(config: SimulationConfig) -> PopulationTrace:
     # a constant gauge leaves the populations of a bare start state unchanged
     gauge_varies = bool(np.any(np.abs(np.diff(unit)) > 1e-15))
     frame = np.conj(unit)[:, None] ** kvec[None, :] if gauge_varies else None
-    psis = evolve_piecewise_constant(
+    block = evolve_piecewise_constant(
         tridiagonal_stack(diag, bond_amplitudes(strip_cfg, np.abs(alpha_mid) ** 2)),
         dt,
-        np.eye(k_count)[config.initial_state],
+        np.eye(k_count)[:, states],
         config.sample_stride,
         frame,
     )
 
-    norms = np.linalg.norm(psis, axis=1)
-    if np.max(np.abs(norms - 1.0)) > NORM_TOL:
-        raise RuntimeError(
-            f"norm drifted to {np.max(np.abs(norms - 1.0)):.3g} (> {NORM_TOL}); "
-            "propagator defect"
-        )
-
     # instantaneous eigenbasis at sample times, tracked from the bare labels
-    t_s = _sample_times(config)
+    t_s = _sample_times(config.drive.duration, dt, config.sample_stride)
     alpha_s = field_amplitude(config.drive, t_s)
     nbar_s = np.abs(alpha_s) ** 2
     _, evecs_s = np.linalg.eigh(tridiagonal_stack(diag, bond_amplitudes(strip_cfg, nbar_s)))
     if gauge_varies:
         unit_s = _gauge(strip_cfg, alpha_s, np.sqrt(nbar_s), t_s)
-        psis = psis * (unit_s[:, None] ** kvec[None, :])  # back to the rotated gauge
-
     columns, flagged = track_branches(evecs_s)
-    populations = np.array(
-        [np.abs(v[:, c].T @ psi) ** 2 for v, c, psi in zip(evecs_s, columns, psis)]
-    )
 
-    return PopulationTrace(
-        times=t_s,
-        nbar=nbar_s,
-        populations=populations,
-        survival=populations[:, config.initial_state].copy(),
-        norm=norms,
-        initial_state=config.initial_state,
-        flagged_samples=flagged,
-    )
+    traces = []
+    for j, state in enumerate(states):
+        # contiguous (samples, K), so reductions round as in a one-state run
+        psis = np.ascontiguousarray(block[:, :, j])
+        norms = np.linalg.norm(psis, axis=1)
+        if np.max(np.abs(norms - 1.0)) > NORM_TOL:
+            raise RuntimeError(
+                f"norm drifted to {np.max(np.abs(norms - 1.0)):.3g} (> {NORM_TOL}); "
+                "propagator defect"
+            )
+        if gauge_varies:
+            # back to the rotated gauge. The power is left a temporary on
+            # purpose: above 256 kB numpy multiplies into it in place, which
+            # swaps the product's operands; hoisting it out of the loop moves
+            # the last bit of the populations on 100 ns drives
+            psis = psis * (unit_s[:, None] ** kvec[None, :])
+        populations = np.array(
+            [np.abs(v[:, c].T @ psi) ** 2 for v, c, psi in zip(evecs_s, columns, psis)]
+        )
+        traces.append(
+            PopulationTrace(
+                times=t_s.copy(),
+                nbar=nbar_s.copy(),
+                populations=populations,
+                survival=populations[:, state].copy(),
+                norm=norms,
+                initial_state=state,
+                flagged_samples=list(flagged),
+            )
+        )
+    return traces
 
 
 def survival_vs_nbar(trace: PopulationTrace) -> SurvivalCurve:
@@ -234,10 +279,15 @@ def survival_vs_nbar(trace: PopulationTrace) -> SurvivalCurve:
     )
 
 
-def member_survival(config: SimulationConfig, nbar_axis: np.ndarray) -> np.ndarray:
-    """Running-minimum survival of one member, interpolated onto ``nbar_axis``."""
-    curve = survival_vs_nbar(propagate(config))
-    return np.interp(nbar_axis, curve.nbar_axis, curve.survival_running_min)
+def member_survival(
+    config: SimulationConfig, states, nbar_axis: np.ndarray
+) -> list[np.ndarray]:
+    """Running-minimum survival of each state in ``states``, on ``nbar_axis``.
+
+    One curve per state, in order; each is the (strip, drive, state) member's.
+    """
+    curves = [survival_vs_nbar(trace) for trace in propagate_states(config, states)]
+    return [np.interp(nbar_axis, c.nbar_axis, c.survival_running_min) for c in curves]
 
 
 def _rebuild_at_offset_charge(config: SimulationConfig, n_g: float) -> SimulationConfig:
@@ -265,12 +315,13 @@ def charge_averaged_survival(
     if n_g_grid is None:
         n_g_grid = DEFAULT_NG_GRID
     if nbar_axis is None:
-        nbar_axis = np.abs(field_amplitude(base.drive, _sample_times(base))) ** 2
+        t_s = _sample_times(base.drive.duration, base.dt, base.sample_stride)
+        nbar_axis = np.abs(field_amplitude(base.drive, t_s)) ** 2
     members = []
     for n_g in n_g_grid:
         try:
             cfg = _rebuild_at_offset_charge(base, float(n_g))
-            members.append(member_survival(cfg, nbar_axis))
+            members.append(member_survival(cfg, [base.initial_state], nbar_axis)[0])
         except Exception as exc:
             raise RuntimeError(f"member simulation failed at n_g={n_g}") from exc
     return SurvivalCurve(

@@ -1,9 +1,10 @@
 """Detuning x offset-charge x initial-state sweeps with parallel workers.
 
-Every (delta, n_g, state) member is one independent ``member_survival`` call;
-workers are stateless and results are keyed by task index, so the output is
-identical for any worker count. Wall-clock metadata is kept out of the result
-files to preserve that.
+Every (delta, n_g) point is one task: one ``member_survival`` call propagates
+all initial states through the point's shared Hamiltonian stack and returns a
+curve per (delta, n_g, state) member. Workers are stateless and results are
+keyed by member, so the output is identical for any worker count. Wall-clock
+metadata is kept out of the result files to preserve that.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import hashlib
 import json
 import os
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field, asdict
 from multiprocessing import Pool
 
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import OnsetPoint, TransitionBoundary, boundary_to_dict, extract_onsets, fit_boundary
-from .dynamics import SimulationConfig, SurvivalCurve, member_survival
+from .dynamics import SimulationConfig, SurvivalCurve, _sample_times, member_survival
 from .field import DriveConfig, field_amplitude
 from .strip import StripConfig, effective_hamiltonian, jtc_strip_hamiltonian
 from .transmon import TransmonParams, diagonalize, ej_for_frequency
@@ -82,6 +84,18 @@ class SweepConfig:
             raise ValueError("delta_grid must be strictly ascending")
         if not self.nbar_step > 0:
             raise ValueError(f"nbar_step must be positive, got {self.nbar_step}")
+        if not (self.dt > 0 and self.sample_stride >= 1):
+            raise ValueError("dt and sample_stride must be positive")
+        # survival is read against nbar(t), which needs a monotone ring-up; a
+        # drive detuned from the dressed resonator rings up and back down
+        t_s = _sample_times(self.duration, self.dt, self.sample_stride)
+        nbar = np.abs(field_amplitude(self.drive(), t_s)) ** 2
+        if np.any(np.diff(nbar) < -1e-12):
+            raise ValueError(
+                "nbar(t) is not monotone: the drive at omega_d = "
+                f"{self.resolved_omega_d} GHz is detuned from omega_r_dressed = "
+                f"{self.resolved_omega_r_dressed} GHz"
+            )
         if self.resolved_workers < 1:
             raise ValueError("worker count must be >= 1")
 
@@ -201,19 +215,21 @@ def _write_failure_artifacts(
     out_dir,
     nbar_axis: np.ndarray,
     completed: dict[tuple, np.ndarray],
-    failed_key: tuple,
+    failed_point: tuple,
+    states: list[int],
+    completed_points: int,
     exc: Exception,
 ) -> None:
-    """Partial survival curves plus a manifest naming the failed member."""
+    """Partial survival curves plus a manifest naming the failed point."""
     os.makedirs(out_dir, exist_ok=True)
     manifest = {
         "failed": {
-            "delta": failed_key[0],
-            "n_g": failed_key[1],
-            "state": failed_key[2],
+            "delta": failed_point[0],
+            "n_g": failed_point[1],
+            "states": list(states),
             "error": f"{type(exc).__name__}: {exc}",
         },
-        "completed_tasks": len(completed),
+        "completed_tasks": completed_points,
     }
     with open(os.path.join(out_dir, "failure_manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -224,24 +240,25 @@ def _write_failure_artifacts(
     np.savez(os.path.join(out_dir, "partial_curves.npz"), **arrays)
 
 
-def _sweep_worker(task) -> np.ndarray:
-    config_dict, e_j, n_g, state, nbar_axis = task
+def _sweep_worker(task) -> list[np.ndarray]:
+    """Survival curves of one (delta, n_g) point, one per state in ``task[3]``."""
+    config_dict, e_j, n_g, states, nbar_axis = task
     config = SweepConfig.from_dict(config_dict)
     sim = SimulationConfig(
         strip=_strip_at(config, e_j, n_g),
         drive=config.drive(),
-        initial_state=state,
         dt=config.dt,
         sample_stride=config.sample_stride,
     )
-    return member_survival(sim, nbar_axis)
+    return member_survival(sim, states, nbar_axis)
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Run the full sweep and aggregate charge-averaged heatmaps and boundaries.
 
-    Raises on the first failing member simulation, naming its
-    (delta, n_g, state) coordinates. Results do not depend on worker count.
+    Raises on the first failing point simulation, naming its (delta, n_g)
+    coordinates and the states it carried. Results do not depend on worker
+    count.
     """
     t_start = time.monotonic()
     nbar_axis = config.nbar_axis()
@@ -250,32 +267,38 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         for delta in config.delta_grid
     ]
 
+    states = list(config.initial_states)
     tasks = []
-    keys = []
+    points = []
     cfg_dict = asdict(config)
     for i, delta in enumerate(config.delta_grid):
-        for state in config.initial_states:
-            for n_g in config.n_g_grid:
-                tasks.append((cfg_dict, e_j_per_delta[i], n_g, state, nbar_axis))
-                keys.append((delta, n_g, state))
+        for n_g in config.n_g_grid:
+            tasks.append((cfg_dict, e_j_per_delta[i], n_g, states, nbar_axis))
+            points.append((delta, n_g))
 
     workers = config.resolved_workers
     per_key: dict[tuple, np.ndarray] = {}
+    done = 0
     try:
-        if workers == 1:
-            for key, task in zip(keys, tasks):
-                per_key[key] = _sweep_worker(task)
-        else:
-            with Pool(workers) as pool:
-                for key, curve in zip(keys, pool.imap(_sweep_worker, tasks)):
-                    per_key[key] = curve
+        with ExitStack() as stack:
+            if workers == 1:
+                results = map(_sweep_worker, tasks)
+            else:
+                pool = stack.enter_context(Pool(min(workers, len(tasks))))
+                results = pool.imap(_sweep_worker, tasks)
+            for (delta, n_g), curves in zip(points, results):
+                for state, curve in zip(states, curves):
+                    per_key[(delta, n_g, state)] = curve
+                done += 1
     except Exception as exc:
-        failed = keys[len(per_key)]
+        failed = points[done]
         if config.out_dir:
-            _write_failure_artifacts(config.out_dir, nbar_axis, per_key, failed, exc)
+            _write_failure_artifacts(
+                config.out_dir, nbar_axis, per_key, failed, states, done, exc
+            )
+        coordinates = ", ".join(f"state={state}" for state in states)
         raise RuntimeError(
-            f"simulation failed at delta={failed[0]}, n_g={failed[1]}, "
-            f"state={failed[2]}"
+            f"simulation failed at delta={failed[0]}, n_g={failed[1]}, {coordinates}"
         ) from exc
 
     heatmaps = {}
@@ -307,6 +330,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         "wall_time_s": round(time.monotonic() - t_start, 3),
         "workers": workers,
         "tasks": len(tasks),
+        "members": len(tasks) * len(states),
     }
     result = SweepResult(
         delta_grid=np.asarray(config.delta_grid, float),

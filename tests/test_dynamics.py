@@ -8,6 +8,7 @@ from mistsim.dynamics import (
     charge_averaged_survival,
     evolve_piecewise_constant,
     propagate,
+    propagate_states,
     survival_vs_nbar,
 )
 from mistsim.field import DriveConfig
@@ -153,6 +154,32 @@ class TestPropagate:
         with pytest.raises(ValueError):
             SimulationConfig(strip=ref_strip, drive=ref_drive, sample_stride=0)
 
+    @pytest.mark.parametrize("kind", ["resonant", "dressed", "tabulated"])
+    def test_states_in_one_pass_equal_single_runs(self, ref_strip, ref_drive, kind):
+        # full 100 ns: the sampled block is large enough for numpy to reuse
+        # temporaries, which is where a batched rewrite can change rounding
+        strip, drive = ref_strip, ref_drive
+        if kind == "dressed":  # drive at the dressed frequency: lab-gauge frame path
+            strip = replace(ref_strip, omega_d=4.745)
+            drive = replace(ref_drive, omega_d=4.745, omega_r_dressed=4.745)
+        elif kind == "tabulated":
+            ramp = (np.array([0.0, 30.0, 60.0, 100.0]), EPSILON * np.array([0, 0.6, 1, 1]))
+            drive = replace(ref_drive, envelope=ramp)
+        sim = SimulationConfig(strip=strip, drive=drive)
+        batch = propagate_states(sim, [0, 1])
+        for state, trace in zip((0, 1), batch):
+            single = propagate(replace(sim, initial_state=state))
+            assert trace.initial_state == state
+            assert np.array_equal(trace.populations, single.populations)
+            assert np.array_equal(trace.survival, single.survival)
+            assert np.array_equal(trace.norm, single.norm)
+            assert np.array_equal(trace.nbar, single.nbar)
+            assert trace.flagged_samples == single.flagged_samples
+
+    def test_states_validated(self, ref_sim):
+        with pytest.raises(ValueError, match="initial_state 20 outside"):
+            propagate_states(ref_sim, [0, 20])
+
     def test_csv_export(self, ref_trace, tmp_path):
         path = tmp_path / "trace.csv"
         ref_trace.to_csv(path)
@@ -195,6 +222,20 @@ class TestPiecewiseConstantEvolver:
         out = evolve_piecewise_constant(stack, dt, psi0, steps)
         expected = expm(-2j * np.pi * h * steps * dt) @ psi0
         assert np.allclose(out[-1], expected, atol=1e-10)
+
+    @pytest.mark.parametrize("with_frame", [False, True])
+    def test_block_columns_equal_single_runs(self, with_frame):
+        rng = np.random.default_rng(11)
+        steps, k, m = 40, 6, 3
+        raw = rng.normal(size=(steps, k, k)) + 1j * rng.normal(size=(steps, k, k))
+        stack = (raw + raw.conj().transpose(0, 2, 1)) / 2
+        frame = np.exp(1j * rng.uniform(0, 2 * np.pi, (steps, k))) if with_frame else None
+        block = rng.normal(size=(k, m)) + 1j * rng.normal(size=(k, m))
+        out = evolve_piecewise_constant(stack, 0.02, block, 7, frame)
+        assert out.shape == (1 + steps // 7 + 1, k, m)  # start, every 7th step, end
+        for j in range(m):
+            single = evolve_piecewise_constant(stack, 0.02, block[:, j], 7, frame)
+            assert np.array_equal(out[:, :, j], single)
 
 
 class TestSurvivalCurve:

@@ -96,6 +96,64 @@ class TestRunSweep:
         partial = np.load(out / "partial_curves.npz")
         assert len(partial.files) == 3  # nbar_axis + two completed curves
 
+    def test_two_state_failure_names_point_and_states(self, monkeypatch, tmp_path):
+        original = sweep_mod._sweep_worker
+
+        def failing(task):
+            if task[2] == -0.25:
+                raise np.linalg.LinAlgError("injected")
+            return original(task)
+
+        monkeypatch.setattr(sweep_mod, "_sweep_worker", failing)
+        out = tmp_path / "partial"
+        cfg = small_config(
+            delta_grid=[1.0], initial_states=[0, 1], duration=20.0, out_dir=str(out)
+        )
+        with pytest.raises(RuntimeError, match=r"delta=1.0, n_g=-0.25, state=0, state=1$"):
+            run_sweep(cfg)
+        manifest = json.loads((out / "failure_manifest.json").read_text())
+        assert manifest["failed"]["delta"] == 1.0
+        assert manifest["failed"]["n_g"] == -0.25
+        assert manifest["failed"]["states"] == [0, 1]
+        assert "injected" in manifest["failed"]["error"]
+        assert manifest["completed_tasks"] == 1
+        partial = np.load(out / "partial_curves.npz")
+        assert sorted(partial.files) == [
+            "delta1.0_ng-0.5_state0",
+            "delta1.0_ng-0.5_state1",
+            "nbar_axis",
+        ]
+
+    def test_two_states_equal_one_state_sweeps(self):
+        cfg = small_config(initial_states=[0, 1], duration=20.0)
+        both = run_sweep(cfg)
+        for state in (0, 1):
+            alone = run_sweep(small_config(initial_states=[state], duration=20.0))
+            assert np.array_equal(both.heatmaps[state], alone.heatmaps[state])
+
+    def test_pool_sized_to_points_and_run_info_counts(self, monkeypatch, tmp_path):
+        sizes = []
+        real_pool = sweep_mod.Pool
+
+        def recording_pool(processes):
+            sizes.append(processes)
+            return real_pool(processes)
+
+        monkeypatch.setattr(sweep_mod, "Pool", recording_pool)
+        out = tmp_path / "run"
+        cfg = small_config(
+            delta_grid=[1.1],
+            n_g_grid=[0.0],
+            initial_states=[0, 1],
+            duration=20.0,
+            workers=3,
+            out_dir=str(out),
+        )
+        run_sweep(cfg)
+        assert sizes == [1]  # one point: no idle worker processes
+        info = json.loads((out / "run_info.json").read_text())
+        assert (info["workers"], info["tasks"], info["members"]) == (3, 1, 2)
+
     def test_rows_equal_charge_averaged_survival(self):
         # the sweep and charge_averaged_survival share one member path
         cfg = small_config(delta_grid=[1.1], n_g_grid=[-0.5, 0.2], duration=20.0)
@@ -165,6 +223,13 @@ class TestSweepConfig:
             small_config(nbar_step=0.0)
         with pytest.raises(ValueError, match="nbar_step"):
             small_config(nbar_step=-0.25)
+        with pytest.raises(ValueError, match="dt"):
+            small_config(dt=0.0)
+        # a 20 MHz detuned drive rings up and back down within the pulse
+        with pytest.raises(ValueError, match="not monotone"):
+            small_config(omega_d=4.77, omega_r_dressed=4.75)
+        small_config(epsilon=0.0)  # flat ring-up
+        small_config(omega_d=4.745, omega_r_dressed=4.745)  # dressed-frequency drive
 
     def test_resolved_drive_is_resonant_by_default(self):
         cfg = small_config()
