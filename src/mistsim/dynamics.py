@@ -1,21 +1,29 @@
 """Schrodinger propagation of the transmon under the ring-up field.
 
-Each time step applies the exact exponential of the Hamiltonian frozen at the
-midpoint (time and field), via spectral decomposition; unitarity is then exact
-up to rounding, with no stiffness tuning. Populations of the instantaneous
-eigenstates are sampled on a coarser grid, with branch identity carried from
-the bare labels at alpha = 0 by maximal eigenvector overlap.
-``evolve_piecewise_constant`` is the one step kernel, and ``member_survival``
-the one survival computation behind both the sweep and
-``charge_averaged_survival``.
+Each step of length h is the commutator-free fourth-order Magnus step (CF4;
+Alvermann & Fehske, J. Comput. Phys. 230, 5930 (2011)): two exact
+exponentials, exp(-i*2*pi*h*B2) exp(-i*2*pi*h*B1), with B1 = a2*H(t1) +
+a1*H(t2) acting first, B2 = a1*H(t1) + a2*H(t2), a1,2 = 1/4 -/+ sqrt(3)/6 and
+Gauss nodes t1,2 = t + (1/2 -/+ sqrt(3)/6)*h. Each exponential comes from a
+spectral decomposition, so unitarity is exact up to rounding. The bonds
+Re(sqrt(nbar - k)) have a square-root kink wherever nbar(t) = k; the step
+edges are the grid j*dt plus every such kink time (``field.level_crossings``),
+so both nodes of a step lie on the same side of every kink. Populations of
+the instantaneous eigenstates are sampled on grid edges every
+``sample_stride`` steps, with branch identity carried from the bare labels at
+alpha = 0 by maximal eigenvector overlap. ``evolve_piecewise_constant`` is
+the one step kernel, and ``member_survival`` the one survival computation
+behind both the sweep and ``charge_averaged_survival``.
 
-Internally the propagation runs in a rotated gauge where the bond phase
-u(t) = (alpha/|alpha|) * exp(i*2*pi*(omega_r - omega_d)*t) is peeled off into
-diagonal phase factors u^k, leaving a real symmetric tridiagonal matrix per
-step. When u(t) varies in time the kernel's ``frame`` argument applies the
-phase factors around each step, so the state stays in the lab gauge; when it
-is constant (every resonant sweep member) no frame is needed. Observables
-(populations, norms) are identical to the lab-gauge ones.
+Internally the propagation runs in a rotated gauge: each exponent B is a
+tridiagonal matrix whose bond phases are peeled off into a diagonal frame,
+leaving a real symmetric matrix. When the field phase
+u(t) = (alpha/|alpha|) * exp(i*2*pi*(omega_r - omega_d)*t) is constant (every
+resonant sweep member) the combined bonds are real and no frame is needed.
+When it varies, the combined lab-gauge bond of each bond k has its own phase,
+and the kernel's ``frame`` argument carries the cumulative bond phase of each
+sub-step, so the state stays in the lab gauge. Observables (populations,
+norms) are identical to the lab-gauge ones.
 
 The Hamiltonian depends on the strip and the drive, not on the prepared
 state. ``propagate_states`` therefore builds, diagonalizes and branch-tracks
@@ -31,7 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .field import DriveConfig, field_amplitude
+from .field import DriveConfig, field_amplitude, level_crossings
 from .strip import StripConfig, bond_amplitudes, track_branches, tridiagonal_stack
 from .transmon import diagonalize
 
@@ -49,6 +57,11 @@ __all__ = [
 
 NORM_TOL = 1e-6
 DEFAULT_NG_GRID = np.round(np.arange(-0.50, 0.0 + 1e-9, 0.05), 10)
+MAX_DT = 0.05  # ns
+# CF4 Gauss nodes (fractions of a step) and exponent weights a1, a2
+CF4_NODES = np.array([0.5 - np.sqrt(3) / 6, 0.5 + np.sqrt(3) / 6])
+CF4_WEIGHTS = (0.25 - np.sqrt(3) / 6, 0.25 + np.sqrt(3) / 6)
+EDGE_MERGE_TOL = 1e-9  # ns; a kink this close to another edge adds no step
 
 
 @dataclass(frozen=True)
@@ -58,15 +71,19 @@ class SimulationConfig:
     strip: StripConfig
     drive: DriveConfig
     initial_state: int = 0
-    dt: float = 0.01
-    sample_stride: int = 10
+    dt: float = 0.05
+    sample_stride: int = 2
 
     def __post_init__(self):
-        if not 0 < self.dt <= 0.05:
-            raise ValueError(f"dt must be in (0, 0.05] ns, got {self.dt}")
-        if self.sample_stride < 1:
-            raise ValueError("sample_stride must be >= 1")
+        _check_step(self.dt, self.sample_stride)
         _check_state(self.initial_state, self.strip.level_count)
+
+
+def _check_step(dt: float, sample_stride: int) -> None:
+    if not 0 < dt <= MAX_DT:
+        raise ValueError(f"dt must be in (0, {MAX_DT}] ns, got {dt}")
+    if sample_stride < 1:
+        raise ValueError("sample_stride must be >= 1")
 
 
 def _check_state(state: int, level_count: int) -> None:
@@ -126,12 +143,13 @@ def evolve_piecewise_constant(
     sample_stride: int = 1,
     frame: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Apply exp(-i*2*pi*H_s*dt) step by step; return states at sample points.
+    """Apply exp(-i*2*pi*H_s*dt_s) step by step; return states at sample points.
 
     ``hamiltonians`` is a (steps, K, K) Hermitian stack (GHz), one matrix per
-    step, already evaluated at whatever instant the caller chose (midpoint for
-    second-order accuracy). An optional (steps, K) ``frame`` of diagonal phase
-    factors D_s makes step s apply D_s exp(-i*2*pi*H_s*dt) D_s^dag instead,
+    step, already combined as the caller's scheme needs. ``dt`` is one step
+    length (ns) or a (steps,) array of them. An optional (steps, K) ``frame``
+    of diagonal phase factors D_s makes step s apply
+    D_s exp(-i*2*pi*H_s*dt_s) D_s^dag instead,
     which lets a real gauge-rotated stack drive a lab-gauge state. The
     returned array holds the state before any step, after every
     ``sample_stride`` steps, and after the final step.
@@ -145,7 +163,7 @@ def evolve_piecewise_constant(
     steps = hamiltonians.shape[0]
     evals, evecs = np.linalg.eigh(hamiltonians)
     evecs_h = evecs.conj().transpose(0, 2, 1)  # a view when the stack is real
-    phases = np.exp(-2j * np.pi * evals * dt)
+    phases = np.exp(-2j * np.pi * evals * np.reshape(dt, (-1, 1)))
     frame_c = None if frame is None else np.conj(frame)
     start = np.asarray(psi0, dtype=complex)
     # one contiguous (K,) array per state, replaced at every step
@@ -168,6 +186,22 @@ def _sample_times(duration: float, dt: float, stride: int) -> np.ndarray:
     """Times (ns) of the states ``propagate`` samples: every stride, and the end."""
     steps = int(round(duration / dt))
     return np.minimum(np.arange(0, steps + stride, stride), steps) * dt
+
+
+def _step_edges(grid: np.ndarray, kinks: np.ndarray) -> np.ndarray:
+    """Ascending step edges: the uniform ``grid`` plus the ascending ``kinks``.
+
+    A kink within EDGE_MERGE_TOL of a grid point or of the previous kink is
+    dropped, so grid points (where samples are taken) always stay edges.
+    """
+    pos = np.searchsorted(grid, kinks)
+    near_grid = np.minimum(
+        np.abs(grid[np.minimum(pos, len(grid) - 1)] - kinks),
+        np.abs(kinks - grid[np.maximum(pos - 1, 0)]),
+    )
+    kinks = kinks[near_grid > EDGE_MERGE_TOL]
+    kinks = kinks[np.diff(kinks, prepend=-np.inf) > EDGE_MERGE_TOL]
+    return np.sort(np.concatenate((grid, kinks)))
 
 
 def _gauge(strip: StripConfig, alpha: np.ndarray, mag: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -199,38 +233,64 @@ def propagate_states(config: SimulationConfig, states) -> list[PopulationTrace]:
     trace of each state is bitwise the one ``propagate`` returns for it.
     """
     strip_cfg = config.strip
+    drive = config.drive
     k_count = strip_cfg.level_count
     states = [int(state) for state in states]
     for state in states:
         _check_state(state, k_count)
-    dt = config.dt
-    steps = int(round(config.drive.duration / dt))
-    diag = strip_cfg.rotating_diagonal
-    kvec = np.arange(k_count)
 
-    t_mid = (np.arange(steps) + 0.5) * dt
-    alpha_mid = field_amplitude(config.drive, t_mid)
-    unit = _gauge(strip_cfg, alpha_mid, np.abs(alpha_mid), t_mid)
-    # lab-gauge state from the real rotated-gauge stack: D = diag(conj(u)^k);
-    # a constant gauge leaves the populations of a bare start state unchanged
-    gauge_varies = bool(np.any(np.abs(np.diff(unit)) > 1e-15))
-    frame = np.conj(unit)[:, None] ** kvec[None, :] if gauge_varies else None
-    block = evolve_piecewise_constant(
-        tridiagonal_stack(diag, bond_amplitudes(strip_cfg, np.abs(alpha_mid) ** 2)),
-        dt,
-        np.eye(k_count)[:, states],
-        config.sample_stride,
-        frame,
+    # step edges: the grid j*dt plus every kink of the bonds, nbar(t) = k
+    grid = _sample_times(drive.duration, config.dt, 1)
+    alpha_grid = field_amplitude(drive, grid)
+    edges = _step_edges(
+        grid, level_crossings(drive, grid, alpha_grid, np.arange(1, k_count - 1))
     )
+    h = np.diff(edges)
+    nodes = edges[:-1, None] + h[:, None] * CF4_NODES
+    alpha_n = field_amplitude(drive, nodes.ravel()).reshape(nodes.shape)
+    bonds = bond_amplitudes(strip_cfg, np.abs(alpha_n) ** 2)  # (steps, 2, K-1)
+    unit = _gauge(strip_cfg, alpha_n, np.abs(alpha_n), nodes)
+    gauge_varies = bool(np.any(np.abs(np.diff(unit.ravel())) > 1e-15))
+    if gauge_varies:
+        bonds = bonds * unit[..., None]  # lab-gauge bonds
+    a1, a2 = CF4_WEIGHTS
+    # sub-steps B1 = a2 H(t1) + a1 H(t2), then B2 = a1 H(t1) + a2 H(t2)
+    combined = np.stack(
+        (a2 * bonds[:, 0] + a1 * bonds[:, 1], a1 * bonds[:, 0] + a2 * bonds[:, 1]),
+        axis=1,
+    ).reshape(-1, k_count - 1)
+    frame = None
+    if gauge_varies:
+        # lab-gauge B = D B_real D^dag with D_k the conjugate of the product
+        # of the bond phases below level k
+        magnitude = np.abs(combined)
+        nonzero = magnitude > 0
+        phase = np.where(nonzero, combined / np.where(nonzero, magnitude, 1.0), 1.0)
+        frame = np.concatenate(
+            (np.ones((len(phase), 1)), np.cumprod(np.conj(phase), axis=1)), axis=1
+        )
+        combined = magnitude
+    t_s = _sample_times(drive.duration, config.dt, config.sample_stride)
+    # a state after every full step, then those at the sample times
+    block = evolve_piecewise_constant(
+        tridiagonal_stack(strip_cfg.rotating_diagonal / 2, combined),
+        np.repeat(h, 2),
+        np.eye(k_count)[:, states],
+        2,
+        frame,
+    )[np.searchsorted(edges, t_s)]
 
     # instantaneous eigenbasis at sample times, tracked from the bare labels
-    t_s = _sample_times(config.drive.duration, dt, config.sample_stride)
-    alpha_s = field_amplitude(config.drive, t_s)
+    alpha_s = alpha_grid[np.searchsorted(grid, t_s)]
     nbar_s = np.abs(alpha_s) ** 2
-    _, evecs_s = np.linalg.eigh(tridiagonal_stack(diag, bond_amplitudes(strip_cfg, nbar_s)))
-    if gauge_varies:
-        unit_s = _gauge(strip_cfg, alpha_s, np.sqrt(nbar_s), t_s)
+    _, evecs_s = np.linalg.eigh(
+        tridiagonal_stack(strip_cfg.rotating_diagonal, bond_amplitudes(strip_cfg, nbar_s))
+    )
     columns, flagged = track_branches(evecs_s)
+    if gauge_varies:
+        # back to the rotated gauge of the sample-time stack
+        unit_s = _gauge(strip_cfg, alpha_s, np.sqrt(nbar_s), t_s)
+        rotation = unit_s[:, None] ** np.arange(k_count)
 
     traces = []
     for j, state in enumerate(states):
@@ -243,11 +303,7 @@ def propagate_states(config: SimulationConfig, states) -> list[PopulationTrace]:
                 "propagator defect"
             )
         if gauge_varies:
-            # back to the rotated gauge. The power is left a temporary on
-            # purpose: above 256 kB numpy multiplies into it in place, which
-            # swaps the product's operands; hoisting it out of the loop moves
-            # the last bit of the populations on 100 ns drives
-            psis = psis * (unit_s[:, None] ** kvec[None, :])
+            psis = np.multiply(rotation, psis)
         populations = np.array(
             [np.abs(v[:, c].T @ psi) ** 2 for v, c, psi in zip(evecs_s, columns, psis)]
         )

@@ -21,6 +21,7 @@ __all__ = [
     "evolve_field_closed_form",
     "evolve_field_numeric",
     "field_amplitude",
+    "level_crossings",
 ]
 
 DEFAULT_TIME_STEP = 0.01  # ns
@@ -170,6 +171,46 @@ def evolve_field_numeric(
             t += h
         alpha[i + 1] = a
     return FieldTrajectory.from_alpha(t_grid, alpha)
+
+
+def level_crossings(
+    drive: DriveConfig, times: np.ndarray, alpha: np.ndarray, levels
+) -> np.ndarray:
+    """Every time where |alpha|^2 crosses one of ``levels``, ascending.
+
+    ``alpha`` is the field on the ascending grid ``times``. Each crossing is
+    bracketed by a sign change of |alpha|^2 - k between neighbouring grid
+    points, then bisected on the cubic Hermite interpolant of alpha, whose
+    end slopes come exactly from the field equation. A level touched twice
+    within one grid interval shows no sign change and is not reported.
+    """
+    times = np.asarray(times, float)
+    levels = np.asarray(levels, float)
+    above = np.abs(alpha)[:, None] ** 2 > levels
+    i, j = np.nonzero(above[1:] != above[:-1])
+    if len(i) == 0:
+        return np.empty(0)
+    lam = 1j * 2 * np.pi * drive.detuning + drive.kappa / 2.0
+    eps_of = _envelope_fn(drive)
+    slope = -lam * alpha - 1j * np.broadcast_to(eps_of(times), times.shape)
+    h = times[i + 1] - times[i]
+    a0, a1 = alpha[i], alpha[i + 1]
+    m0, m1 = h * slope[i], h * slope[i + 1]
+    level, rising = levels[j], above[i + 1, j]
+    lo, hi = np.zeros(len(i)), np.ones(len(i))
+    for _ in range(60):
+        s = (lo + hi) / 2
+        s2, s3 = s * s, s * s * s
+        p = (
+            (2 * s3 - 3 * s2 + 1) * a0
+            + (s3 - 2 * s2 + s) * m0
+            + (3 * s2 - 2 * s3) * a1
+            + (s3 - s2) * m1
+        )
+        past = (np.abs(p) ** 2 > level) == rising
+        hi = np.where(past, s, hi)
+        lo = np.where(past, lo, s)
+    return np.sort(times[i] + h * (lo + hi) / 2)
 
 
 def field_amplitude(

@@ -21,7 +21,13 @@ import numpy as np
 
 from . import __version__
 from .analysis import OnsetPoint, TransitionBoundary, boundary_to_dict, extract_onsets, fit_boundary
-from .dynamics import SimulationConfig, SurvivalCurve, _sample_times, member_survival
+from .dynamics import (
+    SimulationConfig,
+    SurvivalCurve,
+    _check_step,
+    _sample_times,
+    member_survival,
+)
 from .field import DriveConfig, field_amplitude
 from .strip import StripConfig, effective_hamiltonian, jtc_strip_hamiltonian
 from .transmon import TransmonParams, diagonalize, ej_for_frequency
@@ -68,8 +74,8 @@ class SweepConfig:
     initial_states: list[int] = field(default_factory=lambda: [0, 1])
     level_count: int = 20
     charge_cutoff: int = 30
-    dt: float = 0.01
-    sample_stride: int = 10
+    dt: float = SimulationConfig.dt
+    sample_stride: int = SimulationConfig.sample_stride
     threshold: float = 0.9
     nbar_step: float = 0.25
     workers: int | None = None
@@ -84,8 +90,7 @@ class SweepConfig:
             raise ValueError("delta_grid must be strictly ascending")
         if not self.nbar_step > 0:
             raise ValueError(f"nbar_step must be positive, got {self.nbar_step}")
-        if not (self.dt > 0 and self.sample_stride >= 1):
-            raise ValueError("dt and sample_stride must be positive")
+        _check_step(self.dt, self.sample_stride)
         # survival is read against nbar(t), which needs a monotone ring-up; a
         # drive detuned from the dressed resonator rings up and back down
         t_s = _sample_times(self.duration, self.dt, self.sample_stride)

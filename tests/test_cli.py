@@ -192,8 +192,10 @@ class TestSweepCommand:
         actions = [a for a in subparsers.choices["sweep"]._actions if a.dest in fields]
         assert {"n_g_grid", "initial_states", "delta_grid"} <= {a.dest for a in actions}
         for action in actions:
-            # 3 and [1, 2] pass every SweepConfig check for every field
-            value = [action.type(1), action.type(2)] if action.nargs == "+" else action.type(3)
+            # 3 and [1, 2] pass every SweepConfig check for every field but dt,
+            # which is bounded to (0, 0.05] ns
+            scalar = action.type(0.03) if action.dest == "dt" else action.type(3)
+            value = [action.type(1), action.type(2)] if action.nargs == "+" else scalar
             words = [str(v) for v in value] if action.nargs == "+" else [str(value)]
             args = parser.parse_args(
                 ["sweep", "--out", str(tmp_path), action.option_strings[0], *words]

@@ -3,16 +3,20 @@ import pytest
 from dataclasses import replace
 
 from mistsim.dynamics import (
+    CF4_NODES,
+    CF4_WEIGHTS,
     PopulationTrace,
     SimulationConfig,
+    _step_edges,
     charge_averaged_survival,
     evolve_piecewise_constant,
     propagate,
     propagate_states,
     survival_vs_nbar,
 )
-from mistsim.field import DriveConfig
+from mistsim.field import DriveConfig, field_amplitude, level_crossings
 from mistsim.strip import StripConfig
+from mistsim.sweep import SweepConfig, strip_for_detuning
 from mistsim.transmon import TransmonEigen
 
 from conftest import EPSILON, KAPPA, OMEGA_R
@@ -107,7 +111,6 @@ class TestPropagate:
     def test_gauge_optimization_matches_brute_force(self, ref_eigen):
         # the rotated-gauge fast path must reproduce a direct propagation of
         # the full complex Hamiltonian when drive, frame and field all detune
-        from mistsim.field import field_amplitude
         from mistsim.strip import effective_hamiltonian, match_branches
 
         strip = StripConfig(
@@ -123,15 +126,28 @@ class TestPropagate:
         sim = SimulationConfig(strip=strip, drive=drive, dt=0.01, sample_stride=10)
         trace = propagate(sim)
 
-        steps = 1000
-        t_mid = (np.arange(steps) + 0.5) * 0.01
-        alphas = field_amplitude(drive, t_mid)
-        stack = np.array(
-            [effective_hamiltonian(strip, a, t) for a, t in zip(alphas, t_mid)]
+        # CF4 on the complex lab-gauge Hamiltonian: same nodes on the same edges
+        grid = np.arange(1001) * 0.01
+        kinks = level_crossings(drive, grid, field_amplitude(drive, grid), np.arange(1, 19))
+        edges = _step_edges(grid, kinks)
+        h = np.diff(edges)
+        nodes = edges[:-1, None] + h[:, None] * CF4_NODES
+        alphas = field_amplitude(drive, nodes.ravel()).reshape(nodes.shape)
+        h_nodes = np.array(
+            [
+                [effective_hamiltonian(strip, a, t) for a, t in zip(pair_a, pair_t)]
+                for pair_a, pair_t in zip(alphas, nodes)
+            ]
         )
-        psis = evolve_piecewise_constant(stack, 0.01, np.eye(20)[0], 10)
+        a1, a2 = CF4_WEIGHTS
+        stack = np.stack(
+            (a2 * h_nodes[:, 0] + a1 * h_nodes[:, 1], a1 * h_nodes[:, 0] + a2 * h_nodes[:, 1]),
+            axis=1,
+        ).reshape(-1, 20, 20)
+        t_s = np.arange(0, 1001, 10) * 0.01
+        psis = evolve_piecewise_constant(stack, np.repeat(h, 2), np.eye(20)[0], 2)
+        psis = psis[np.searchsorted(edges, t_s)]
 
-        t_s = np.arange(0, steps + 1, 10) * 0.01
         alpha_s = field_amplitude(drive, t_s)
         h_s = np.array(
             [effective_hamiltonian(strip, a, t) for a, t in zip(alpha_s, t_s)]
@@ -176,6 +192,16 @@ class TestPropagate:
             assert np.array_equal(trace.nbar, single.nbar)
             assert trace.flagged_samples == single.flagged_samples
 
+    def test_default_step_matches_refined_dt(self):
+        # (0.6, -0.5) is the stiffest grid corner; CF4 without kink-aligned
+        # edges misses this by 1.6e-4
+        strip = strip_for_detuning(SweepConfig(), 0.6, -0.5)
+        sim = SimulationConfig(strip=strip, drive=SweepConfig().drive())
+        fine = replace(sim, dt=0.0025, sample_stride=40)
+        for coarse, ref in zip(propagate_states(sim, [0, 1]), propagate_states(fine, [0, 1])):
+            assert np.allclose(coarse.times, ref.times)
+            assert np.max(np.abs(coarse.populations - ref.populations)) < 5e-5
+
     def test_states_validated(self, ref_sim):
         with pytest.raises(ValueError, match="initial_state 20 outside"):
             propagate_states(ref_sim, [0, 20])
@@ -186,6 +212,55 @@ class TestPropagate:
         header = path.read_text().splitlines()[0]
         assert header.startswith("t_ns,nbar,norm,pop_branch_0")
         assert header.endswith("pop_branch_19")
+
+
+class TestLevelCrossings:
+    def test_resonant_square_drive_closed_form(self, ref_drive):
+        # 400 ns reaches every level below the steady state n_ss ~ 154.8
+        drive = replace(ref_drive, duration=400.0)
+        grid = np.arange(8001) * 0.05
+        n_ss = drive.steady_state_nbar
+        levels = np.arange(1, int(np.ceil(n_ss)))
+        kinks = level_crossings(drive, grid, field_amplitude(drive, grid), levels)
+        expected = -(2 / drive.kappa) * np.log(1 - np.sqrt(levels / n_ss))
+        assert len(kinks) == len(levels)
+        assert np.max(np.abs(kinks - expected)) < 1e-9
+
+    def test_tabulated_ramp_hits_levels(self, ref_drive):
+        ramp = (np.array([0.0, 30.0, 60.0, 100.0]), EPSILON * np.array([0, 0.6, 1, 1]))
+        drive = replace(ref_drive, envelope=ramp)
+        grid = np.arange(2001) * 0.05
+        levels = np.arange(1, 19)
+        kinks = level_crossings(drive, grid, field_amplitude(drive, grid), levels)
+        assert len(kinks) == len(levels)
+        # the field as the propagator integrates it: one RK4 pass over the edges
+        edges = _step_edges(grid, kinks)
+        nbar = np.abs(field_amplitude(drive, edges)) ** 2
+        assert np.max(np.abs(nbar[np.isin(edges, kinks)] - levels)) < 1e-9
+
+    def test_detuned_drive_rise_and_fall(self, ref_strip):
+        # 20 MHz from the dressed resonator: nbar rings up and back down
+        drive = DriveConfig(
+            epsilon=EPSILON,
+            omega_d=OMEGA_R + 0.02,
+            omega_r_dressed=OMEGA_R,
+            kappa=KAPPA,
+            duration=100.0,
+        )
+        sim = SimulationConfig(strip=ref_strip, drive=drive)
+        grid = np.arange(2001) * sim.dt
+        levels = np.arange(1, 19)
+        kinks = level_crossings(drive, grid, field_amplitude(drive, grid), levels)
+        fine = np.arange(100001) * 0.001
+        nbar = np.abs(field_amplitude(drive, fine)) ** 2
+        for k in levels:
+            side = nbar > k
+            crossed = fine[1:][side[1:] != side[:-1]]
+            found = kinks[np.abs(np.abs(field_amplitude(drive, kinks)) ** 2 - k) < 1e-6]
+            assert len(found) == len(crossed), k
+            assert np.all(np.abs(found - crossed) < 1e-3), k
+        assert len(kinks) > len(levels)  # some levels are crossed up and down
+        assert np.max(np.abs(propagate(sim).norm - 1.0)) < 1e-6
 
 
 class TestPiecewiseConstantEvolver:
@@ -236,6 +311,18 @@ class TestPiecewiseConstantEvolver:
         for j in range(m):
             single = evolve_piecewise_constant(stack, 0.02, block[:, j], 7, frame)
             assert np.array_equal(out[:, :, j], single)
+
+    @pytest.mark.parametrize("with_frame", [False, True])
+    def test_per_step_dt_array_equals_scalar(self, with_frame):
+        rng = np.random.default_rng(5)
+        steps, k = 30, 4
+        raw = rng.normal(size=(steps, k, k)) + 1j * rng.normal(size=(steps, k, k))
+        stack = (raw + raw.conj().transpose(0, 2, 1)) / 2
+        frame = np.exp(1j * rng.uniform(0, 2 * np.pi, (steps, k))) if with_frame else None
+        psi0 = np.eye(k)[:, :2]
+        scalar = evolve_piecewise_constant(stack, 0.03, psi0, 4, frame)
+        per_step = evolve_piecewise_constant(stack, np.full(steps, 0.03), psi0, 4, frame)
+        assert np.array_equal(scalar, per_step)
 
 
 class TestSurvivalCurve:

@@ -225,6 +225,8 @@ class TestSweepConfig:
             small_config(nbar_step=-0.25)
         with pytest.raises(ValueError, match="dt"):
             small_config(dt=0.0)
+        with pytest.raises(ValueError, match="dt"):
+            small_config(dt=0.1)
         # a 20 MHz detuned drive rings up and back down within the pulse
         with pytest.raises(ValueError, match="not monotone"):
             small_config(omega_d=4.77, omega_r_dressed=4.75)
