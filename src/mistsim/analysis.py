@@ -8,7 +8,6 @@ as n_fit - sqrt(n_fit).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,6 @@ __all__ = [
     "extract_onsets",
     "fit_boundary",
     "boundary_to_dict",
-    "write_boundary_json",
 ]
 
 
@@ -194,18 +192,3 @@ def boundary_to_dict(
             for d, b in zip(delta_samples, boundary.boundary(delta_samples))
         ]
     return out
-
-
-def write_boundary_json(
-    boundary: TransitionBoundary,
-    path,
-    threshold: float,
-    delta_samples: np.ndarray | None = None,
-    metadata: dict | None = None,
-) -> None:
-    record = boundary_to_dict(boundary, threshold, delta_samples)
-    if metadata:
-        record["metadata"] = metadata
-    with open(path, "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -18,6 +18,7 @@ from . import __version__
 from .analysis import DispersiveParams, chi, dressed_frequencies, n_crit, stark_to_photons
 from .dynamics import SimulationConfig, propagate, survival_vs_nbar
 from .field import evolve_field_closed_form
+from .output import json_text, provenance, write_json
 from .strip import fan_diagram, find_avoided_crossings, g_eff_perturbative
 from .sweep import SweepConfig, config_hash, run_oracle_check, run_sweep, strip_for_detuning
 from .transmon import k_bend
@@ -69,12 +70,16 @@ def _build_config(args) -> SweepConfig:
 
 
 def _header(config: SweepConfig, extra: list[str] | None = None) -> list[str]:
-    lines = [
-        f"config_hash: {config_hash(config)}",
-        f"tool_version: {__version__}",
-        "units: frequencies GHz, times ns, rates 1/ns, nbar photons",
-    ]
-    return lines + (extra or [])
+    units = "frequencies GHz, times ns, rates 1/ns, nbar photons"
+    return provenance(config_hash(config), units) + (extra or [])
+
+
+def _report(record: dict, out_dir, name: str) -> None:
+    """Print ``record`` as JSON; with --out, also write it to ``out_dir/name``."""
+    print(json_text(record))
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
+        write_json(os.path.join(out_dir, name), record)
 
 
 def _cmd_sweep(args) -> int:
@@ -95,20 +100,16 @@ def _cmd_fan(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     extra = [f"delta: {args.delta}", f"n_g: {args.ng}"]
     spectrum.to_csv(os.path.join(args.out, "fan.csv"), _header(config, extra))
-    with open(os.path.join(args.out, "crossings.json"), "w") as fh:
-        json.dump(
-            {
-                "config_hash": config_hash(config),
-                "delta": args.delta,
-                "n_g": args.ng,
-                "units": "nbar photons, gap and g_eff GHz",
-                "crossings": [c.to_dict() for c in spectrum.crossings],
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    write_json(
+        os.path.join(args.out, "crossings.json"),
+        {
+            "config_hash": config_hash(config),
+            "delta": args.delta,
+            "n_g": args.ng,
+            "units": "nbar photons, gap and g_eff GHz",
+            "crossings": [c.to_dict() for c in spectrum.crossings],
+        },
+    )
     return 0
 
 
@@ -172,12 +173,7 @@ def _cmd_calibrate(args) -> int:
         )
         report["target_level"] = args.target_level
         report["nbar_cross"] = args.nbar_cross
-    print(json.dumps(report, indent=2, sort_keys=True))
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "calibration.json"), "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    _report(report, args.out, "calibration.json")
     return 0
 
 
@@ -189,12 +185,7 @@ def _cmd_oracle_check(args) -> int:
         n_g_values=tuple(args.ng_values),
         n_max=args.n_max,
     )
-    print(json.dumps(report, indent=2, sort_keys=True))
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "oracle_check.json"), "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    _report(report, args.out, "oracle_check.json")
     return 0 if report["passed"] else 2
 
 

@@ -40,7 +40,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .field import DriveConfig, field_amplitude, level_crossings
-from .strip import StripConfig, bond_amplitudes, track_branches, tridiagonal_stack
+from .output import write_table
+from .strip import StripConfig, bond_amplitudes, tracked_eigenbasis, tridiagonal_stack
 from .transmon import diagonalize
 
 __all__ = [
@@ -56,7 +57,7 @@ __all__ = [
 ]
 
 NORM_TOL = 1e-6
-DEFAULT_NG_GRID = np.round(np.arange(-0.50, 0.0 + 1e-9, 0.05), 10)
+DEFAULT_NG_GRID = tuple(round(-0.50 + 0.05 * i, 10) for i in range(11))
 MAX_DT = 0.05  # ns
 # CF4 Gauss nodes (fractions of a step) and exponent weights a1, a2
 CF4_NODES = np.array([0.5 - np.sqrt(3) / 6, 0.5 + np.sqrt(3) / 6])
@@ -106,18 +107,9 @@ class PopulationTrace:
     flagged_samples: list[int]
 
     def to_csv(self, path, header_lines: list[str] | None = None) -> None:
-        n_branches = self.populations.shape[1]
-        with open(path, "w") as fh:
-            for line in header_lines or []:
-                fh.write(f"# {line}\n")
-            cols = ",".join(f"pop_branch_{j}" for j in range(n_branches))
-            fh.write(f"t_ns,nbar,norm,{cols}\n")
-            for i in range(len(self.times)):
-                pops = ",".join(f"{p:.12g}" for p in self.populations[i])
-                fh.write(
-                    f"{self.times[i]:.12g},{self.nbar[i]:.12g},"
-                    f"{self.norm[i]:.12g},{pops}\n"
-                )
+        branches = [f"pop_branch_{j}" for j in range(self.populations.shape[1])]
+        rows = np.column_stack((self.times, self.nbar, self.norm, self.populations))
+        write_table(path, header_lines, ["t_ns", "nbar", "norm", *branches], rows)
 
 
 @dataclass
@@ -128,12 +120,8 @@ class SurvivalCurve:
     survival_running_min: np.ndarray
 
     def to_csv(self, path, header_lines: list[str] | None = None) -> None:
-        with open(path, "w") as fh:
-            for line in header_lines or []:
-                fh.write(f"# {line}\n")
-            fh.write("nbar,survival\n")
-            for nb, s in zip(self.nbar_axis, self.survival_running_min):
-                fh.write(f"{nb:.12g},{s:.12g}\n")
+        rows = np.column_stack((self.nbar_axis, self.survival_running_min))
+        write_table(path, header_lines, ["nbar", "survival"], rows)
 
 
 def evolve_piecewise_constant(
@@ -283,10 +271,7 @@ def propagate_states(config: SimulationConfig, states) -> list[PopulationTrace]:
     # instantaneous eigenbasis at sample times, tracked from the bare labels
     alpha_s = alpha_grid[np.searchsorted(grid, t_s)]
     nbar_s = np.abs(alpha_s) ** 2
-    _, evecs_s = np.linalg.eigh(
-        tridiagonal_stack(strip_cfg.rotating_diagonal, bond_amplitudes(strip_cfg, nbar_s))
-    )
-    columns, flagged = track_branches(evecs_s)
+    _, evecs_s, columns, flagged = tracked_eigenbasis(strip_cfg, nbar_s)
     if gauge_varies:
         # back to the rotated gauge of the sample-time stack
         unit_s = _gauge(strip_cfg, alpha_s, np.sqrt(nbar_s), t_s)

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .output import write_table
+
 __all__ = [
     "DriveConfig",
     "FieldTrajectory",
@@ -88,12 +90,8 @@ class FieldTrajectory:
         return cls(times=np.asarray(times, float), alpha=alpha, nbar=np.abs(alpha) ** 2)
 
     def to_csv(self, path, header_lines: list[str] | None = None) -> None:
-        with open(path, "w") as fh:
-            for line in header_lines or []:
-                fh.write(f"# {line}\n")
-            fh.write("t_ns,re_alpha,im_alpha,nbar\n")
-            for t, a, n in zip(self.times, self.alpha, self.nbar):
-                fh.write(f"{t:.12g},{a.real:.12g},{a.imag:.12g},{n:.12g}\n")
+        rows = np.column_stack((self.times, self.alpha.real, self.alpha.imag, self.nbar))
+        write_table(path, header_lines, ["t_ns", "re_alpha", "im_alpha", "nbar"], rows)
 
 
 def _closed_form_alpha(drive: DriveConfig, times: np.ndarray, alpha0: complex) -> np.ndarray:
@@ -213,14 +211,12 @@ def level_crossings(
     return np.sort(times[i] + h * (lo + hi) / 2)
 
 
-def field_amplitude(
-    drive: DriveConfig, times: np.ndarray, alpha0: complex = 0j
-) -> np.ndarray:
-    """alpha evaluated at arbitrary times >= 0, with alpha0 the value at t=0."""
+def field_amplitude(drive: DriveConfig, times: np.ndarray) -> np.ndarray:
+    """alpha evaluated at arbitrary times >= 0, starting from alpha = 0 at t=0."""
     times = np.asarray(times, float)
     if drive.envelope == "square":
-        return _closed_form_alpha(drive, times, alpha0)
+        return _closed_form_alpha(drive, times, 0j)
     if times[0] > 0:
         grid = np.concatenate(([0.0], times))
-        return evolve_field_numeric(drive, grid, alpha0).alpha[1:]
-    return evolve_field_numeric(drive, times, alpha0).alpha
+        return evolve_field_numeric(drive, grid).alpha[1:]
+    return evolve_field_numeric(drive, times).alpha

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .output import write_table
 from .transmon import TransmonEigen
 
 __all__ = [
@@ -28,6 +29,7 @@ __all__ = [
     "bond_amplitudes",
     "match_branches",
     "track_branches",
+    "tracked_eigenbasis",
 ]
 
 
@@ -111,15 +113,9 @@ class SpectrumResult:
     crossings: list[CrossingRecord] = field(default_factory=list)
 
     def to_csv(self, path, header_lines: list[str] | None = None) -> None:
-        n_branches = self.branches.shape[0]
-        with open(path, "w") as fh:
-            for line in header_lines or []:
-                fh.write(f"# {line}\n")
-            cols = ",".join(f"branch_{j}" for j in range(n_branches))
-            fh.write(f"nbar,{cols}\n")
-            for i, nb in enumerate(self.nbar_grid):
-                row = ",".join(f"{self.branches[j, i]:.12g}" for j in range(n_branches))
-                fh.write(f"{nb:.12g},{row}\n")
+        branches = [f"branch_{j}" for j in range(self.branches.shape[0])]
+        rows = np.column_stack((self.nbar_grid, self.branches.T))
+        write_table(path, header_lines, ["nbar", *branches], rows)
 
 
 def bond_amplitudes(config: StripConfig, nbar) -> np.ndarray:
@@ -247,6 +243,21 @@ def track_branches(evecs: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return columns, flagged
 
 
+def tracked_eigenbasis(
+    config: StripConfig, nbar: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """Instantaneous eigenbasis at each photon number, with tracked branches.
+
+    ``nbar`` must start at 0 (see ``track_branches``). Returns (evals, evecs,
+    columns, flagged): the eigenvalue-ordered ``eigh`` results of the strip
+    at each photon number plus ``track_branches`` of the eigenvectors.
+    """
+    evals, evecs = np.linalg.eigh(
+        tridiagonal_stack(config.rotating_diagonal, bond_amplitudes(config, nbar))
+    )
+    return (evals, evecs, *track_branches(evecs))
+
+
 def fan_diagram(config: StripConfig, nbar_grid: np.ndarray) -> SpectrumResult:
     """Instantaneous spectrum versus photon number with tracked branches.
 
@@ -260,13 +271,9 @@ def fan_diagram(config: StripConfig, nbar_grid: np.ndarray) -> SpectrumResult:
     if np.any(np.diff(nbar_grid) <= 0):
         raise ValueError("nbar_grid must be sorted strictly ascending")
 
-    diag = config.rotating_diagonal
-    evals, evecs = np.linalg.eigh(
-        tridiagonal_stack(diag, bond_amplitudes(config, nbar_grid))
-    )
-    columns, flagged = track_branches(evecs)
+    evals, _, columns, flagged = tracked_eigenbasis(config, nbar_grid)
     branches = np.take_along_axis(evals, columns, axis=1).T
-    branches[:, 0] = diag  # exact bare energies at nbar = 0
+    branches[:, 0] = config.rotating_diagonal  # exact bare energies at nbar = 0
     return SpectrumResult(nbar_grid=nbar_grid, branches=branches, flagged_points=flagged)
 
 

@@ -22,13 +22,16 @@ import numpy as np
 from . import __version__
 from .analysis import OnsetPoint, TransitionBoundary, boundary_to_dict, extract_onsets, fit_boundary
 from .dynamics import (
+    DEFAULT_NG_GRID,
     SimulationConfig,
     SurvivalCurve,
+    _check_state,
     _check_step,
     _sample_times,
     member_survival,
 )
 from .field import DriveConfig, field_amplitude
+from .output import provenance, write_json, write_table
 from .strip import StripConfig, effective_hamiltonian, jtc_strip_hamiltonian
 from .transmon import TransmonParams, diagonalize, ej_for_frequency
 
@@ -46,10 +49,6 @@ WORKERS_ENV_VAR = "MISTSIM_WORKERS"
 
 def _default_delta_grid() -> list[float]:
     return [round(0.6 + 0.02 * i, 10) for i in range(51)]
-
-
-def _default_ng_grid() -> list[float]:
-    return [round(-0.50 + 0.05 * i, 10) for i in range(11)]
 
 
 @dataclass
@@ -70,7 +69,7 @@ class SweepConfig:
     epsilon: float = 0.045
     duration: float = 100.0
     delta_grid: list[float] = field(default_factory=_default_delta_grid)
-    n_g_grid: list[float] = field(default_factory=_default_ng_grid)
+    n_g_grid: list[float] = field(default_factory=lambda: list(DEFAULT_NG_GRID))
     initial_states: list[int] = field(default_factory=lambda: [0, 1])
     level_count: int = 20
     charge_cutoff: int = 30
@@ -90,6 +89,8 @@ class SweepConfig:
             raise ValueError("delta_grid must be strictly ascending")
         if not self.nbar_step > 0:
             raise ValueError(f"nbar_step must be positive, got {self.nbar_step}")
+        for state in self.initial_states:
+            _check_state(state, self.level_count)
         _check_step(self.dt, self.sample_stride)
         # survival is read against nbar(t), which needs a monotone ring-up; a
         # drive detuned from the dressed resonator rings up and back down
@@ -142,9 +143,7 @@ class SweepConfig:
         return d
 
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, asdict(self))
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepConfig":
@@ -180,20 +179,17 @@ class SweepResult:
     def write(self, out_dir) -> None:
         """Result files (deterministic bytes) plus a separate run-info file."""
         os.makedirs(out_dir, exist_ok=True)
-        header = [
-            f"config_hash: {self.metadata['config_hash']}",
-            f"tool_version: {self.metadata['tool_version']}",
-            "units: delta GHz, nbar photons, values survival probability",
-        ]
+        header = provenance(
+            self.metadata["config_hash"],
+            "delta GHz, nbar photons, values survival probability",
+        )
         for state in self.initial_states:
-            path = os.path.join(out_dir, f"heatmap_state{state}.csv")
-            with open(path, "w") as fh:
-                for line in header + [f"initial_state: {state}"]:
-                    fh.write(f"# {line}\n")
-                fh.write("," + ",".join(f"{nb:.12g}" for nb in self.nbar_axis) + "\n")
-                for i, delta in enumerate(self.delta_grid):
-                    row = ",".join(f"{v:.12g}" for v in self.heatmaps[state][i])
-                    fh.write(f"{delta:.12g},{row}\n")
+            write_table(
+                os.path.join(out_dir, f"heatmap_state{state}.csv"),
+                header + [f"initial_state: {state}"],
+                ["", *self.nbar_axis],
+                np.column_stack((self.delta_grid, self.heatmaps[state])),
+            )
             record = {
                 "config_hash": self.metadata["config_hash"],
                 "tool_version": self.metadata["tool_version"],
@@ -208,12 +204,8 @@ class SweepResult:
                 )
             else:
                 record["boundary_error"] = boundary
-            with open(os.path.join(out_dir, f"boundary_state{state}.json"), "w") as fh:
-                json.dump(record, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        with open(os.path.join(out_dir, "run_info.json"), "w") as fh:
-            json.dump(self.metadata, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            write_json(os.path.join(out_dir, f"boundary_state{state}.json"), record)
+        write_json(os.path.join(out_dir, "run_info.json"), self.metadata)
 
 
 def _write_failure_artifacts(
@@ -236,9 +228,7 @@ def _write_failure_artifacts(
         },
         "completed_tasks": completed_points,
     }
-    with open(os.path.join(out_dir, "failure_manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "failure_manifest.json"), manifest)
     arrays = {"nbar_axis": nbar_axis}
     for (delta, n_g, state), curve in completed.items():
         arrays[f"delta{delta}_ng{n_g}_state{state}"] = curve
@@ -247,8 +237,7 @@ def _write_failure_artifacts(
 
 def _sweep_worker(task) -> list[np.ndarray]:
     """Survival curves of one (delta, n_g) point, one per state in ``task[3]``."""
-    config_dict, e_j, n_g, states, nbar_axis = task
-    config = SweepConfig.from_dict(config_dict)
+    config, e_j, n_g, states, nbar_axis = task
     sim = SimulationConfig(
         strip=_strip_at(config, e_j, n_g),
         drive=config.drive(),
@@ -275,10 +264,9 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     states = list(config.initial_states)
     tasks = []
     points = []
-    cfg_dict = asdict(config)
     for i, delta in enumerate(config.delta_grid):
         for n_g in config.n_g_grid:
-            tasks.append((cfg_dict, e_j_per_delta[i], n_g, states, nbar_axis))
+            tasks.append((config, e_j_per_delta[i], n_g, states, nbar_axis))
             points.append((delta, n_g))
 
     workers = config.resolved_workers

@@ -219,6 +219,8 @@ class TestSweepConfig:
             small_config(n_g_grid=[])
         with pytest.raises(ValueError, match="worker"):
             small_config(workers=0)
+        with pytest.raises(ValueError, match="initial_state 20 outside"):
+            small_config(initial_states=[0, 20])
         with pytest.raises(ValueError, match="nbar_step"):
             small_config(nbar_step=0.0)
         with pytest.raises(ValueError, match="nbar_step"):
