@@ -8,7 +8,7 @@ as n_fit - sqrt(n_fit).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -92,12 +92,7 @@ class OnsetPoint:
     initial_state: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "nbar_onset": self.nbar_onset,
-            "uncertainty": self.uncertainty,
-            "initial_state": self.initial_state,
-        }
+        return asdict(self)
 
 
 def extract_onsets(
@@ -175,20 +170,16 @@ def fit_boundary(points: list[OnsetPoint], weighted: bool = False) -> Transition
 
 
 def boundary_to_dict(
-    boundary: TransitionBoundary,
-    threshold: float,
-    delta_samples: np.ndarray | None = None,
+    boundary: TransitionBoundary, threshold: float, delta_samples: np.ndarray
 ) -> dict:
     """JSON-ready record of the fit, its points and sampled boundary curve."""
-    out = {
+    return {
         "A": boundary.A,
         "B": boundary.B,
         "threshold": threshold,
         "points": [p.to_dict() for p in boundary.points],
-    }
-    if delta_samples is not None:
-        out["boundary_samples"] = [
+        "boundary_samples": [
             {"delta": float(d), "nbar": float(b)}
             for d, b in zip(delta_samples, boundary.boundary(delta_samples))
-        ]
-    return out
+        ],
+    }

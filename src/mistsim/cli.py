@@ -49,7 +49,6 @@ def _add_physics_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--stride", dest="sample_stride", type=int)
     parser.add_argument("--threshold", dest="threshold", type=float)
     parser.add_argument("--nbar-step", dest="nbar_step", type=float)
-    parser.add_argument("--workers", dest="workers", type=int)
 
 
 def _build_config(args) -> SweepConfig:
@@ -94,9 +93,7 @@ def _cmd_fan(args) -> int:
     strip_cfg = strip_for_detuning(config, args.delta, args.ng)
     grid = np.arange(0.0, args.nbar_max + 1e-12, args.nbar_grid_step)
     spectrum = fan_diagram(strip_cfg, grid)
-    spectrum.crossings = find_avoided_crossings(
-        spectrum, min_gap=args.min_gap, max_gap=args.max_gap
-    )
+    crossings = find_avoided_crossings(spectrum, min_gap=args.min_gap, max_gap=args.max_gap)
     os.makedirs(args.out, exist_ok=True)
     extra = [f"delta: {args.delta}", f"n_g: {args.ng}"]
     spectrum.to_csv(os.path.join(args.out, "fan.csv"), _header(config, extra))
@@ -107,7 +104,7 @@ def _cmd_fan(args) -> int:
             "delta": args.delta,
             "n_g": args.ng,
             "units": "nbar photons, gap and g_eff GHz",
-            "crossings": [c.to_dict() for c in spectrum.crossings],
+            "crossings": [c.to_dict() for c in crossings],
         },
     )
     return 0
@@ -199,6 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-grid", dest="delta_grid", type=float, nargs="+")
     p.add_argument("--ng-grid", dest="n_g_grid", type=float, nargs="+")
     p.add_argument("--states", dest="initial_states", type=int, nargs="+")
+    p.add_argument("--workers", dest="workers", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep)
 

@@ -60,6 +60,8 @@ class DriveConfig:
             t, v = self.envelope
             if len(t) != len(v) or len(t) < 2:
                 raise ValueError("tabulated envelope needs matching (t, eps) arrays")
+            if np.any(np.diff(np.asarray(t, float)) <= 0):
+                raise ValueError("tabulated envelope times must be strictly ascending")
 
     @property
     def detuning(self) -> float:

@@ -9,7 +9,7 @@ exactly with the full qubit-resonator ladder at fixed total excitation number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -32,6 +32,9 @@ __all__ = [
     "tracked_eigenbasis",
 ]
 
+#: Overlap difference within which ``match_branches`` calls an assignment a tie.
+TIE_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class StripConfig:
@@ -46,22 +49,19 @@ class StripConfig:
     omega_d: float | None = None
     g: float | None = None
     k_eff: float | None = None
-    level_count: int | None = None
 
     def __post_init__(self):
         if (self.g is None) == (self.k_eff is None):
             raise ValueError("specify exactly one of g, k_eff")
         if self.omega_d is None:
             object.__setattr__(self, "omega_d", self.omega_r)
-        if self.level_count is None:
-            object.__setattr__(self, "level_count", self.eigen.level_count)
-        if self.level_count > self.eigen.level_count:
-            raise ValueError(
-                f"level_count {self.level_count} exceeds available "
-                f"{self.eigen.level_count} eigenstates"
-            )
         if self.coupling <= 0:
             raise ValueError(f"derived coupling must be positive, got {self.coupling}")
+
+    @property
+    def level_count(self) -> int:
+        """Number of strip levels: every level the transmon eigen data keeps."""
+        return self.eigen.level_count
 
     @property
     def coupling(self) -> float:
@@ -73,8 +73,7 @@ class StripConfig:
     @property
     def rotating_diagonal(self) -> np.ndarray:
         """Bare rotating-frame energies E_k - k*omega_r (GHz)."""
-        k = np.arange(self.level_count)
-        return self.eigen.energies[: self.level_count] - k * self.omega_r
+        return self.eigen.energies - np.arange(self.level_count) * self.omega_r
 
 
 @dataclass
@@ -88,13 +87,7 @@ class CrossingRecord:
     g_eff: float
 
     def to_dict(self) -> dict:
-        return {
-            "branch_a": self.branch_a,
-            "branch_b": self.branch_b,
-            "nbar_cross": self.nbar_cross,
-            "gap": self.gap,
-            "g_eff": self.g_eff,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -110,7 +103,6 @@ class SpectrumResult:
     nbar_grid: np.ndarray
     branches: np.ndarray
     flagged_points: list[int] = field(default_factory=list)
-    crossings: list[CrossingRecord] = field(default_factory=list)
 
     def to_csv(self, path, header_lines: list[str] | None = None) -> None:
         branches = [f"branch_{j}" for j in range(self.branches.shape[0])]
@@ -126,7 +118,7 @@ def bond_amplitudes(config: StripConfig, nbar) -> np.ndarray:
     k = np.arange(config.level_count - 1)
     nbar = np.asarray(nbar, float)
     root = np.sqrt(np.maximum(nbar[..., None] - k, 0.0))
-    return root * (config.eigen.couplings[: config.level_count - 1] * config.coupling)
+    return root * (config.eigen.couplings * config.coupling)
 
 
 def tridiagonal_stack(diag: np.ndarray, bonds: np.ndarray) -> np.ndarray:
@@ -182,15 +174,13 @@ def jtc_strip_hamiltonian(config: StripConfig, n_total: int) -> np.ndarray:
     return h
 
 
-def match_branches(
-    prev_vecs: np.ndarray, cur_vecs: np.ndarray, tie_tol: float = 1e-6
-) -> tuple[np.ndarray, bool, bool]:
+def match_branches(prev_vecs: np.ndarray, cur_vecs: np.ndarray) -> tuple[np.ndarray, bool, bool]:
     """Greedy maximal-overlap assignment of current eigenvectors to branches.
 
     ``prev_vecs`` columns are branch-ordered; ``cur_vecs`` columns are in
     eigenvalue order. Returns (columns, low_overlap, ambiguous) where
     ``columns[branch]`` indexes into cur_vecs, ``low_overlap`` marks a best
-    overlap below 0.5 and ``ambiguous`` a greedy tie within ``tie_tol``.
+    overlap below 0.5 and ``ambiguous`` a greedy tie within ``TIE_TOL``.
     """
     overlap = np.abs(prev_vecs.conj().T @ cur_vecs)
     n = overlap.shape[0]
@@ -201,7 +191,7 @@ def match_branches(
         sorted_rows = np.sort(overlap, axis=1)
         top = sorted_rows[:, -1]
         second = sorted_rows[:, -2]
-        if np.all(top - second > tie_tol) and np.all(top >= 0.5):
+        if np.all(top - second > TIE_TOL) and np.all(top >= 0.5):
             return best_cols, False, False
 
     columns = np.full(n, -1, dtype=int)
@@ -210,7 +200,7 @@ def match_branches(
     ambiguous = False
     for _ in range(n):
         m = work.max()
-        candidates = np.argwhere(work >= m - tie_tol)
+        candidates = np.argwhere(work >= m - TIE_TOL)
         if len(candidates) > 1:
             ambiguous = True
         row, col = candidates[0]

@@ -3,8 +3,8 @@
 Every (delta, n_g) point is one task: one ``member_survival`` call propagates
 all initial states through the point's shared Hamiltonian stack and returns a
 curve per (delta, n_g, state) member. Workers are stateless and results are
-keyed by member, so the output is identical for any worker count. Wall-clock
-metadata is kept out of the result files to preserve that.
+collected in task order, so the output is identical for any worker count.
+Wall-clock metadata is kept out of the result files to preserve that.
 """
 
 from __future__ import annotations
@@ -44,9 +44,6 @@ __all__ = [
     "strip_for_detuning",
 ]
 
-WORKERS_ENV_VAR = "MISTSIM_WORKERS"
-
-
 def _default_delta_grid() -> list[float]:
     return [round(0.6 + 0.02 * i, 10) for i in range(51)]
 
@@ -77,18 +74,25 @@ class SweepConfig:
     sample_stride: int = SimulationConfig.sample_stride
     threshold: float = 0.9
     nbar_step: float = 0.25
-    workers: int | None = None
+    workers: int = 1
     out_dir: str | None = None
 
     def __post_init__(self):
         if (self.g is None) == (self.k_eff is None):
             raise ValueError("specify exactly one of g, k_eff")
+        coupling = self.g if self.g is not None else self.k_eff
+        if not coupling > 0:
+            raise ValueError(f"g or k_eff must be positive, got {coupling}")
+        # the transmon's own checks, without solving for E_J
+        TransmonParams(self.e_c, 0.0, 0.0, self.charge_cutoff, self.level_count)
         if len(self.delta_grid) == 0 or len(self.n_g_grid) == 0 or len(self.initial_states) == 0:
             raise ValueError("delta_grid, n_g_grid and initial_states must be non-empty")
         if any(b <= a for a, b in zip(self.delta_grid, self.delta_grid[1:])):
             raise ValueError("delta_grid must be strictly ascending")
         if not self.nbar_step > 0:
             raise ValueError(f"nbar_step must be positive, got {self.nbar_step}")
+        if not 0 < self.threshold < 1:
+            raise ValueError(f"threshold must be in (0, 1), got {self.threshold}")
         for state in self.initial_states:
             _check_state(state, self.level_count)
         _check_step(self.dt, self.sample_stride)
@@ -102,8 +106,8 @@ class SweepConfig:
                 f"{self.resolved_omega_d} GHz is detuned from omega_r_dressed = "
                 f"{self.resolved_omega_r_dressed} GHz"
             )
-        if self.resolved_workers < 1:
-            raise ValueError("worker count must be >= 1")
+        if self.workers is None or self.workers < 1:
+            raise ValueError(f"worker count must be >= 1, got {self.workers}")
 
     @property
     def resolved_omega_d(self) -> float:
@@ -116,12 +120,6 @@ class SweepConfig:
             if self.omega_r_dressed is not None
             else self.resolved_omega_d
         )
-
-    @property
-    def resolved_workers(self) -> int:
-        if self.workers is not None:
-            return self.workers
-        return int(os.environ.get(WORKERS_ENV_VAR, "1"))
 
     def drive(self) -> DriveConfig:
         return DriveConfig(
@@ -208,31 +206,38 @@ class SweepResult:
         write_json(os.path.join(out_dir, "run_info.json"), self.metadata)
 
 
+def _task_point(config: SweepConfig, task: int) -> tuple[float, float]:
+    """(delta, n_g) of sweep task ``task``; tasks run n_g fastest."""
+    i, k = divmod(task, len(config.n_g_grid))
+    return config.delta_grid[i], config.n_g_grid[k]
+
+
 def _write_failure_artifacts(
-    out_dir,
+    config: SweepConfig,
     nbar_axis: np.ndarray,
-    completed: dict[tuple, np.ndarray],
-    failed_point: tuple,
-    states: list[int],
-    completed_points: int,
+    members: np.ndarray,
+    done: int,
     exc: Exception,
 ) -> None:
-    """Partial survival curves plus a manifest naming the failed point."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Curves of the ``done`` completed tasks plus a manifest naming the next."""
+    os.makedirs(config.out_dir, exist_ok=True)
+    delta, n_g = _task_point(config, done)
     manifest = {
         "failed": {
-            "delta": failed_point[0],
-            "n_g": failed_point[1],
-            "states": list(states),
+            "delta": delta,
+            "n_g": n_g,
+            "states": list(config.initial_states),
             "error": f"{type(exc).__name__}: {exc}",
         },
-        "completed_tasks": completed_points,
+        "completed_tasks": done,
     }
-    write_json(os.path.join(out_dir, "failure_manifest.json"), manifest)
+    write_json(os.path.join(config.out_dir, "failure_manifest.json"), manifest)
     arrays = {"nbar_axis": nbar_axis}
-    for (delta, n_g, state), curve in completed.items():
-        arrays[f"delta{delta}_ng{n_g}_state{state}"] = curve
-    np.savez(os.path.join(out_dir, "partial_curves.npz"), **arrays)
+    for task in range(done):
+        delta, n_g = _task_point(config, task)
+        for state, curve in zip(config.initial_states, members[task]):
+            arrays[f"delta{delta}_ng{n_g}_state{state}"] = curve
+    np.savez(os.path.join(config.out_dir, "partial_curves.npz"), **arrays)
 
 
 def _sweep_worker(task) -> list[np.ndarray]:
@@ -256,54 +261,40 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     """
     t_start = time.monotonic()
     nbar_axis = config.nbar_axis()
-    e_j_per_delta = [
-        ej_for_frequency(config.e_c, config.omega_r + delta, 0.0, config.charge_cutoff)
-        for delta in config.delta_grid
-    ]
-
     states = list(config.initial_states)
     tasks = []
-    points = []
-    for i, delta in enumerate(config.delta_grid):
-        for n_g in config.n_g_grid:
-            tasks.append((config, e_j_per_delta[i], n_g, states, nbar_axis))
-            points.append((delta, n_g))
+    for delta in config.delta_grid:
+        e_j = _ej_for_detuning(config, delta)
+        tasks.extend((config, e_j, n_g, states, nbar_axis) for n_g in config.n_g_grid)
 
-    workers = config.resolved_workers
-    per_key: dict[tuple, np.ndarray] = {}
+    # one row of curves per task, in task order
+    members = np.empty((len(tasks), len(states), len(nbar_axis)))
     done = 0
     try:
         with ExitStack() as stack:
-            if workers == 1:
+            if config.workers == 1:
                 results = map(_sweep_worker, tasks)
             else:
-                pool = stack.enter_context(Pool(min(workers, len(tasks))))
+                pool = stack.enter_context(Pool(min(config.workers, len(tasks))))
                 results = pool.imap(_sweep_worker, tasks)
-            for (delta, n_g), curves in zip(points, results):
-                for state, curve in zip(states, curves):
-                    per_key[(delta, n_g, state)] = curve
+            for curves in results:
+                members[done] = curves
                 done += 1
     except Exception as exc:
-        failed = points[done]
         if config.out_dir:
-            _write_failure_artifacts(
-                config.out_dir, nbar_axis, per_key, failed, states, done, exc
-            )
+            _write_failure_artifacts(config, nbar_axis, members, done, exc)
+        delta, n_g = _task_point(config, done)
         coordinates = ", ".join(f"state={state}" for state in states)
         raise RuntimeError(
-            f"simulation failed at delta={failed[0]}, n_g={failed[1]}, {coordinates}"
+            f"simulation failed at delta={delta}, n_g={n_g}, {coordinates}"
         ) from exc
 
+    members = members.reshape(len(config.delta_grid), len(config.n_g_grid), len(states), -1)
     heatmaps = {}
     onsets = {}
     boundaries: dict[int, TransitionBoundary | str] = {}
-    for state in config.initial_states:
-        heatmap = np.empty((len(config.delta_grid), len(nbar_axis)))
-        for i, delta in enumerate(config.delta_grid):
-            member = np.stack(
-                [per_key[(delta, n_g, state)] for n_g in config.n_g_grid]
-            )
-            heatmap[i] = member.mean(axis=0)
+    for j, state in enumerate(states):
+        heatmap = members[:, :, j].mean(axis=1)
         if np.any(heatmap < 0) or np.any(heatmap > 1 + 1e-9):
             raise RuntimeError("survival heatmap left [0, 1]")
         heatmaps[state] = heatmap
@@ -321,14 +312,14 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         "config_hash": config_hash(config),
         "tool_version": __version__,
         "wall_time_s": round(time.monotonic() - t_start, 3),
-        "workers": workers,
+        "workers": config.workers,
         "tasks": len(tasks),
         "members": len(tasks) * len(states),
     }
     result = SweepResult(
         delta_grid=np.asarray(config.delta_grid, float),
         nbar_axis=nbar_axis,
-        initial_states=list(config.initial_states),
+        initial_states=states,
         heatmaps=heatmaps,
         onsets=onsets,
         boundaries=boundaries,
@@ -340,14 +331,18 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     return result
 
 
+def _ej_for_detuning(config: SweepConfig, delta: float) -> float:
+    """Junction energy that puts the qubit at omega_r + delta (at n_g = 0)."""
+    return ej_for_frequency(config.e_c, config.omega_r + delta, 0.0, config.charge_cutoff)
+
+
 def strip_for_detuning(config: SweepConfig, delta: float, n_g: float) -> StripConfig:
     """Strip model at one (detuning, offset charge) point of a sweep config.
 
     The junction energy is solved so the qubit sits at omega_r + delta
     (referenced at n_g = 0), then the transmon is diagonalized at ``n_g``.
     """
-    e_j = ej_for_frequency(config.e_c, config.omega_r + delta, 0.0, config.charge_cutoff)
-    return _strip_at(config, e_j, n_g)
+    return _strip_at(config, _ej_for_detuning(config, delta), n_g)
 
 
 def _strip_at(config: SweepConfig, e_j: float, n_g: float) -> StripConfig:

@@ -191,10 +191,11 @@ class TestSweepCommand:
         fields = {f.name for f in dataclasses.fields(SweepConfig)}
         actions = [a for a in subparsers.choices["sweep"]._actions if a.dest in fields]
         assert {"n_g_grid", "initial_states", "delta_grid"} <= {a.dest for a in actions}
+        # 3 and [1, 2] pass every SweepConfig check for every field but these
+        # bounded ones; each value differs from the field's default
+        bounded = {"dt": 0.03, "threshold": 0.5, "charge_cutoff": 33}
         for action in actions:
-            # 3 and [1, 2] pass every SweepConfig check for every field but dt,
-            # which is bounded to (0, 0.05] ns
-            scalar = action.type(0.03) if action.dest == "dt" else action.type(3)
+            scalar = action.type(bounded.get(action.dest, 3))
             value = [action.type(1), action.type(2)] if action.nargs == "+" else scalar
             words = [str(v) for v in value] if action.nargs == "+" else [str(value)]
             args = parser.parse_args(
@@ -225,6 +226,15 @@ class TestErrorHandling:
         assert exc.value.code == 2
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "usage"
+
+    @pytest.mark.parametrize("command", ["fan", "trace", "calibrate", "oracle-check"])
+    def test_workers_is_a_sweep_flag_only(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--delta", "1.1", "--out", "unused", "--workers", "2"])
+        assert exc.value.code == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "usage"
+        assert "--workers" in record["detail"]
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:

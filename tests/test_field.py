@@ -216,3 +216,14 @@ class TestHelpers:
                 duration=10.0,
                 envelope="gaussian",
             )
+
+    def test_tabulated_times_must_ascend(self):
+        # np.interp would silently read a wrong eps(t) from unsorted knots
+        shape = np.array([0.0, 1.0, 1.0]) * EPSILON
+        drive = dict(
+            epsilon=EPSILON, omega_d=OMEGA_R, omega_r_dressed=OMEGA_R, kappa=KAPPA, duration=100.0
+        )
+        DriveConfig(**drive, envelope=(np.array([0.0, 20.0, 100.0]), shape))
+        for times in ([0.0, 100.0, 20.0], [0.0, 20.0, 20.0]):
+            with pytest.raises(ValueError, match="ascending"):
+                DriveConfig(**drive, envelope=(np.array(times), shape))

@@ -259,9 +259,11 @@ class TestStripConfig:
         with pytest.raises(ValueError):
             StripConfig(eigen=ref_eigen, omega_r=OMEGA_R)
 
-    def test_level_count_capped(self, ref_eigen):
-        with pytest.raises(ValueError):
-            StripConfig(eigen=ref_eigen, omega_r=OMEGA_R, g=0.1, level_count=21)
+    def test_level_count_is_the_eigen_data(self, ref_eigen):
+        cfg = StripConfig(eigen=ref_eigen, omega_r=OMEGA_R, g=0.1)
+        assert cfg.level_count == ref_eigen.level_count == len(cfg.rotating_diagonal)
+        with pytest.raises(TypeError):
+            StripConfig(eigen=ref_eigen, omega_r=OMEGA_R, g=0.1, level_count=10)
 
     def test_omega_d_defaults_to_omega_r(self, ref_eigen):
         cfg = StripConfig(eigen=ref_eigen, omega_r=OMEGA_R, g=0.1)

@@ -204,12 +204,6 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match="exactly one"):
             SweepConfig.from_dict({"g": 0.13, "k_eff": 0.05})
 
-    def test_worker_env_default(self, monkeypatch):
-        monkeypatch.setenv("MISTSIM_WORKERS", "3")
-        assert small_config().resolved_workers == 3
-        monkeypatch.delenv("MISTSIM_WORKERS")
-        assert small_config().resolved_workers == 1
-
     def test_validation(self):
         with pytest.raises(ValueError, match="ascending"):
             small_config(delta_grid=[1.1, 1.0])
@@ -219,6 +213,8 @@ class TestSweepConfig:
             small_config(n_g_grid=[])
         with pytest.raises(ValueError, match="worker"):
             small_config(workers=0)
+        with pytest.raises(ValueError, match="worker"):
+            SweepConfig.from_dict({"workers": None})  # an old config's null
         with pytest.raises(ValueError, match="initial_state 20 outside"):
             small_config(initial_states=[0, 20])
         with pytest.raises(ValueError, match="nbar_step"):
@@ -234,6 +230,23 @@ class TestSweepConfig:
             small_config(omega_d=4.77, omega_r_dressed=4.75)
         small_config(epsilon=0.0)  # flat ring-up
         small_config(omega_d=4.745, omega_r_dressed=4.745)  # dressed-frequency drive
+
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"threshold": 1.5}, "threshold"),
+            ({"charge_cutoff": 19}, "charge_cutoff"),
+            ({"level_count": 1}, "level_count"),
+            ({"k_eff": None, "g": 0.0}, "positive"),
+            ({"k_eff": -0.048}, "positive"),
+        ],
+    )
+    def test_rejected_when_built(self, overrides, match, tmp_path):
+        # each of these used to fail only inside the sweep, after E_J solves
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=match):
+            small_config(**overrides, out_dir=str(out))
+        assert not out.exists()
 
     def test_resolved_drive_is_resonant_by_default(self):
         cfg = small_config()
