@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import DispersiveParams, chi, dressed_frequencies, n_crit, stark_to_photons
-from .dynamics import SimulationConfig, propagate, survival_vs_nbar
+from .dynamics import propagate, survival_vs_nbar
 from .field import evolve_field_closed_form
 from .output import json_text, provenance, write_json
 from .strip import fan_diagram, find_avoided_crossings, g_eff_perturbative
@@ -82,13 +82,15 @@ def _report(record: dict, out_dir, name: str) -> None:
 
 
 def _cmd_sweep(args) -> int:
-    config = _build_config(args)
-    config.out_dir = args.out
-    run_sweep(config)
+    run_sweep(dataclasses.replace(_build_config(args), out_dir=args.out))
     return 0
 
 
 def _cmd_fan(args) -> int:
+    if not args.nbar_grid_step > 0:
+        raise ValueError(f"--nbar-grid-step must be positive, got {args.nbar_grid_step}")
+    if args.nbar_max < 0:
+        raise ValueError(f"--nbar-max must be >= 0, got {args.nbar_max}")
     config = _build_config(args)
     strip_cfg = strip_for_detuning(config, args.delta, args.ng)
     grid = np.arange(0.0, args.nbar_max + 1e-12, args.nbar_grid_step)
@@ -112,14 +114,7 @@ def _cmd_fan(args) -> int:
 
 def _cmd_trace(args) -> int:
     config = _build_config(args)
-    strip_cfg = strip_for_detuning(config, args.delta, args.ng)
-    sim = SimulationConfig(
-        strip=strip_cfg,
-        drive=config.drive(),
-        initial_state=args.state,
-        dt=config.dt,
-        sample_stride=config.sample_stride,
-    )
+    sim = config.simulation(args.delta, args.ng, args.state)
     trace = propagate(sim)
     os.makedirs(args.out, exist_ok=True)
     extra = [f"delta: {args.delta}", f"n_g: {args.ng}", f"initial_state: {args.state}"]
@@ -127,7 +122,7 @@ def _cmd_trace(args) -> int:
     survival_vs_nbar(trace).to_csv(
         os.path.join(args.out, "survival.csv"), _header(config, extra)
     )
-    evolve_field_closed_form(config.drive()).to_csv(
+    evolve_field_closed_form(sim.drive).to_csv(
         os.path.join(args.out, "field.csv"), _header(config)
     )
     return 0

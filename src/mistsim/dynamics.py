@@ -17,7 +17,7 @@ behind both the sweep and ``charge_averaged_survival``.
 
 Internally the propagation runs in a rotated gauge: each exponent B is a
 tridiagonal matrix whose bond phases are peeled off into a diagonal frame,
-leaving a real symmetric matrix. When the field phase
+leaving a real symmetric matrix. When the field phase (``strip.bond_phase``)
 u(t) = (alpha/|alpha|) * exp(i*2*pi*(omega_r - omega_d)*t) is constant (every
 resonant sweep member) the combined bonds are real and no frame is needed.
 When it varies, the combined lab-gauge bond of each bond k has its own phase,
@@ -41,7 +41,7 @@ import numpy as np
 
 from .field import DriveConfig, field_amplitude, level_crossings
 from .output import write_table
-from .strip import StripConfig, bond_amplitudes, tracked_eigenbasis, tridiagonal_stack
+from .strip import StripConfig, bond_amplitudes, bond_phase, tracked_eigenbasis, tridiagonal_stack
 from .transmon import diagonalize
 
 __all__ = [
@@ -192,17 +192,6 @@ def _step_edges(grid: np.ndarray, kinks: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate((grid, kinks)))
 
 
-def _gauge(strip: StripConfig, alpha: np.ndarray, mag: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Bond phase u(t) = (alpha/|alpha|) * exp(i*2*pi*(omega_r - omega_d)*t).
-
-    ``mag`` is |alpha| as the caller computed it (|alpha| or sqrt(nbar)), so
-    the phase rounds exactly as the stack it belongs to.
-    """
-    unit = np.where(mag > 0, alpha / np.where(mag > 0, mag, 1.0), 1.0)
-    theta = 2 * np.pi * (strip.omega_r - strip.omega_d)
-    return unit * np.exp(1j * theta * t)
-
-
 def propagate(config: SimulationConfig) -> PopulationTrace:
     """Propagate the prepared eigenstate through the ring-up and sample it.
 
@@ -237,7 +226,7 @@ def propagate_states(config: SimulationConfig, states) -> list[PopulationTrace]:
     nodes = edges[:-1, None] + h[:, None] * CF4_NODES
     alpha_n = field_amplitude(drive, nodes.ravel()).reshape(nodes.shape)
     bonds = bond_amplitudes(strip_cfg, np.abs(alpha_n) ** 2)  # (steps, 2, K-1)
-    unit = _gauge(strip_cfg, alpha_n, np.abs(alpha_n), nodes)
+    unit = bond_phase(strip_cfg, alpha_n, np.abs(alpha_n), nodes)
     gauge_varies = bool(np.any(np.abs(np.diff(unit.ravel())) > 1e-15))
     if gauge_varies:
         bonds = bonds * unit[..., None]  # lab-gauge bonds
@@ -274,7 +263,7 @@ def propagate_states(config: SimulationConfig, states) -> list[PopulationTrace]:
     _, evecs_s, columns, flagged = tracked_eigenbasis(strip_cfg, nbar_s)
     if gauge_varies:
         # back to the rotated gauge of the sample-time stack
-        unit_s = _gauge(strip_cfg, alpha_s, np.sqrt(nbar_s), t_s)
+        unit_s = bond_phase(strip_cfg, alpha_s, np.sqrt(nbar_s), t_s)
         rotation = unit_s[:, None] ** np.arange(k_count)
 
     traces = []
@@ -332,6 +321,7 @@ def member_survival(
 
 
 def _rebuild_at_offset_charge(config: SimulationConfig, n_g: float) -> SimulationConfig:
+    """``config`` with its transmon re-diagonalized at offset charge ``n_g``."""
     params = config.strip.eigen.provenance
     if params is None:
         raise ValueError(

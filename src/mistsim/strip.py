@@ -27,6 +27,7 @@ __all__ = [
     "find_avoided_crossings",
     "g_eff_perturbative",
     "bond_amplitudes",
+    "bond_phase",
     "match_branches",
     "track_branches",
     "tracked_eigenbasis",
@@ -121,6 +122,22 @@ def bond_amplitudes(config: StripConfig, nbar) -> np.ndarray:
     return root * (config.eigen.couplings * config.coupling)
 
 
+def bond_phase(config: StripConfig, alpha, mag, t) -> np.ndarray:
+    """Bond phase u(t) = (alpha/|alpha|) * exp(i*2*pi*(omega_r - omega_d)*t).
+
+    ``mag`` is |alpha| as the caller computed it (|alpha| or sqrt(nbar)), so
+    the phase rounds exactly as the stack it belongs to; u = 1 where it is 0.
+    A scalar skips the array masking, which would cost more than the matrix
+    built from it (the oracle builds one matrix per call).
+    """
+    if isinstance(mag, np.ndarray):
+        unit = np.where(mag > 0, alpha / np.where(mag > 0, mag, 1.0), 1.0)
+    else:
+        unit = alpha / mag if mag > 0 else 1.0
+    theta = 2 * np.pi * (config.omega_r - config.omega_d)
+    return unit * np.exp(1j * theta * t)
+
+
 def tridiagonal_stack(diag: np.ndarray, bonds: np.ndarray) -> np.ndarray:
     """(S, K, K) Hermitian stack from one diagonal and per-matrix bonds (S, K-1).
 
@@ -141,13 +158,11 @@ def tridiagonal_stack(diag: np.ndarray, bonds: np.ndarray) -> np.ndarray:
 def effective_hamiltonian(config: StripConfig, alpha: complex, t: float = 0.0) -> np.ndarray:
     """K x K Hermitian matrix (GHz) of the field-driven strip.
 
-    The off-diagonal carries the field phase (alpha/|alpha|) * exp(i*2*pi*
-    (omega_r - omega_d)*t); at alpha = 0 the interaction vanishes identically.
+    The off-diagonal carries the field phase ``bond_phase``; at alpha = 0 the
+    interaction vanishes identically.
     """
     mag = abs(alpha)
-    unit = alpha / mag if mag > 0.0 else 1.0
-    phase = unit * np.exp(2j * np.pi * (config.omega_r - config.omega_d) * t)
-    bonds = phase * bond_amplitudes(config, mag**2)
+    bonds = bond_phase(config, alpha, mag, t) * bond_amplitudes(config, mag**2)
     return tridiagonal_stack(config.rotating_diagonal, bonds[None])[0]
 
 

@@ -1,10 +1,14 @@
 """Detuning x offset-charge x initial-state sweeps with parallel workers.
 
-Every (delta, n_g) point is one task: one ``member_survival`` call propagates
-all initial states through the point's shared Hamiltonian stack and returns a
-curve per (delta, n_g, state) member. Workers are stateless and results are
-collected in task order, so the output is identical for any worker count.
-Wall-clock metadata is kept out of the result files to preserve that.
+``SweepConfig.simulation`` is the one place a sweep config becomes a
+propagation job. Every (delta, n_g) point is one task, carrying its
+detuning's frozen base member (built once per detuning, at the first grid
+charge). A worker rebuilds the base at its n_g, as ``charge_averaged_survival``
+does, and one ``member_survival`` call propagates all initial states through
+the point's shared Hamiltonian stack, returning a curve per (delta, n_g,
+state) member. Workers are stateless and results are collected in task
+order, so the output is identical for any worker count. Wall-clock metadata
+is kept out of the result files to preserve that.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import json
 import os
 import time
 from contextlib import ExitStack
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 from multiprocessing import Pool
 
 import numpy as np
@@ -27,6 +31,7 @@ from .dynamics import (
     SurvivalCurve,
     _check_state,
     _check_step,
+    _rebuild_at_offset_charge,
     _sample_times,
     member_survival,
 )
@@ -93,41 +98,47 @@ class SweepConfig:
             raise ValueError(f"nbar_step must be positive, got {self.nbar_step}")
         if not 0 < self.threshold < 1:
             raise ValueError(f"threshold must be in (0, 1), got {self.threshold}")
+        if len(set(self.initial_states)) != len(self.initial_states):
+            raise ValueError(f"initial_states must not repeat, got {self.initial_states}")
         for state in self.initial_states:
             _check_state(state, self.level_count)
         _check_step(self.dt, self.sample_stride)
         # survival is read against nbar(t), which needs a monotone ring-up; a
         # drive detuned from the dressed resonator rings up and back down
+        drive = self.drive()
         t_s = _sample_times(self.duration, self.dt, self.sample_stride)
-        nbar = np.abs(field_amplitude(self.drive(), t_s)) ** 2
+        nbar = np.abs(field_amplitude(drive, t_s)) ** 2
         if np.any(np.diff(nbar) < -1e-12):
             raise ValueError(
-                "nbar(t) is not monotone: the drive at omega_d = "
-                f"{self.resolved_omega_d} GHz is detuned from omega_r_dressed = "
-                f"{self.resolved_omega_r_dressed} GHz"
+                f"nbar(t) is not monotone: the drive at omega_d = {drive.omega_d} "
+                f"GHz is detuned from omega_r_dressed = {drive.omega_r_dressed} GHz"
             )
         if self.workers is None or self.workers < 1:
             raise ValueError(f"worker count must be >= 1, got {self.workers}")
 
-    @property
-    def resolved_omega_d(self) -> float:
-        return self.omega_d if self.omega_d is not None else self.omega_r
-
-    @property
-    def resolved_omega_r_dressed(self) -> float:
-        return (
-            self.omega_r_dressed
-            if self.omega_r_dressed is not None
-            else self.resolved_omega_d
-        )
-
     def drive(self) -> DriveConfig:
+        """The drive; ``omega_d`` defaults to omega_r, ``omega_r_dressed`` to omega_d."""
+        omega_d = self.omega_d if self.omega_d is not None else self.omega_r
         return DriveConfig(
             epsilon=self.epsilon,
-            omega_d=self.resolved_omega_d,
-            omega_r_dressed=self.resolved_omega_r_dressed,
+            omega_d=omega_d,
+            omega_r_dressed=(
+                self.omega_r_dressed if self.omega_r_dressed is not None else omega_d
+            ),
             kappa=self.kappa,
             duration=self.duration,
+        )
+
+    def simulation(
+        self, delta: float, n_g: float = 0.0, initial_state: int = 0
+    ) -> SimulationConfig:
+        """Propagation job of the (delta, n_g, initial_state) member."""
+        return SimulationConfig(
+            strip=strip_for_detuning(self, delta, n_g),
+            drive=self.drive(),
+            initial_state=initial_state,
+            dt=self.dt,
+            sample_stride=self.sample_stride,
         )
 
     def nbar_axis(self) -> np.ndarray:
@@ -242,30 +253,26 @@ def _write_failure_artifacts(
 
 def _sweep_worker(task) -> list[np.ndarray]:
     """Survival curves of one (delta, n_g) point, one per state in ``task[3]``."""
-    config, e_j, n_g, states, nbar_axis = task
-    sim = SimulationConfig(
-        strip=_strip_at(config, e_j, n_g),
-        drive=config.drive(),
-        dt=config.dt,
-        sample_stride=config.sample_stride,
-    )
-    return member_survival(sim, states, nbar_axis)
+    base, _, n_g, states, nbar_axis = task
+    return member_survival(_rebuild_at_offset_charge(base, n_g), states, nbar_axis)
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Run the full sweep and aggregate charge-averaged heatmaps and boundaries.
 
-    Raises on the first failing point simulation, naming its (delta, n_g)
-    coordinates and the states it carried. Results do not depend on worker
-    count.
+    ``config`` is checked again first, so a field set after construction
+    fails here as it would in the constructor. Raises on the first failing
+    point simulation, naming its (delta, n_g) coordinates and the states it
+    carried. Results do not depend on worker count.
     """
     t_start = time.monotonic()
+    config = replace(config)
     nbar_axis = config.nbar_axis()
     states = list(config.initial_states)
     tasks = []
     for delta in config.delta_grid:
-        e_j = _ej_for_detuning(config, delta)
-        tasks.extend((config, e_j, n_g, states, nbar_axis) for n_g in config.n_g_grid)
+        base = config.simulation(delta, config.n_g_grid[0])
+        tasks.extend((base, delta, n_g, states, nbar_axis) for n_g in config.n_g_grid)
 
     # one row of curves per task, in task order
     members = np.empty((len(tasks), len(states), len(nbar_axis)))
@@ -331,25 +338,15 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     return result
 
 
-def _ej_for_detuning(config: SweepConfig, delta: float) -> float:
-    """Junction energy that puts the qubit at omega_r + delta (at n_g = 0)."""
-    return ej_for_frequency(config.e_c, config.omega_r + delta, 0.0, config.charge_cutoff)
-
-
 def strip_for_detuning(config: SweepConfig, delta: float, n_g: float) -> StripConfig:
     """Strip model at one (detuning, offset charge) point of a sweep config.
 
     The junction energy is solved so the qubit sits at omega_r + delta
     (referenced at n_g = 0), then the transmon is diagonalized at ``n_g``.
     """
-    return _strip_at(config, _ej_for_detuning(config, delta), n_g)
-
-
-def _strip_at(config: SweepConfig, e_j: float, n_g: float) -> StripConfig:
-    """Strip model of the sweep's transmon with junction energy ``e_j`` at ``n_g``."""
     params = TransmonParams(
         e_c=config.e_c,
-        e_j=e_j,
+        e_j=ej_for_frequency(config.e_c, config.omega_r + delta, 0.0, config.charge_cutoff),
         n_g=n_g,
         charge_cutoff=config.charge_cutoff,
         level_count=config.level_count,
@@ -357,7 +354,7 @@ def _strip_at(config: SweepConfig, e_j: float, n_g: float) -> StripConfig:
     return StripConfig(
         eigen=diagonalize(params),
         omega_r=config.omega_r,
-        omega_d=config.resolved_omega_d,
+        omega_d=config.omega_d,
         g=config.g,
         k_eff=config.k_eff,
     )
@@ -392,6 +389,8 @@ def run_oracle_check(
     """
     if n_max is None:
         n_max = 3 * config.level_count
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     per_ng = {}
     worst = 0.0
     for n_g in n_g_values:

@@ -236,6 +236,23 @@ class TestErrorHandling:
         assert record["error"] == "usage"
         assert "--workers" in record["detail"]
 
+    @pytest.mark.parametrize(
+        "argv, detail",
+        [
+            (["fan", "--nbar-grid-step", "0"], "--nbar-grid-step must be positive, got 0.0"),
+            (["fan", "--nbar-grid-step", "-0.25"], "--nbar-grid-step must be positive, got -0.25"),
+            (["fan", "--nbar-max", "-1"], "--nbar-max must be >= 0, got -1.0"),
+            (["oracle-check", "--n-max", "-1"], "n_max must be >= 0, got -1"),
+        ],
+        ids=["fan-step-zero", "fan-step-negative", "fan-max-negative", "oracle-n-max-negative"],
+    )
+    def test_bad_number_is_named(self, capsys, tmp_path, argv, detail):
+        code, _, err = run_cli(capsys, *argv, "--delta", "1.1", "--out", str(tmp_path / "o"))
+        assert code == 1
+        record = json.loads(err)
+        assert record == {"error": "ValueError", "detail": detail}
+        assert not (tmp_path / "o").exists()
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import mistsim.sweep as sweep_mod
-from mistsim.dynamics import SimulationConfig, charge_averaged_survival
+from mistsim.dynamics import charge_averaged_survival
 from mistsim.strip import effective_hamiltonian, jtc_strip_hamiltonian
 from mistsim.sweep import (
     SweepConfig,
@@ -14,7 +14,6 @@ from mistsim.sweep import (
     run_oracle_check,
     run_sweep,
     spectral_difference,
-    strip_for_detuning,
 )
 
 
@@ -158,12 +157,7 @@ class TestRunSweep:
         # the sweep and charge_averaged_survival share one member path
         cfg = small_config(delta_grid=[1.1], n_g_grid=[-0.5, 0.2], duration=20.0)
         result = run_sweep(cfg)
-        base = SimulationConfig(
-            strip=strip_for_detuning(cfg, 1.1, 0.0),
-            drive=cfg.drive(),
-            dt=cfg.dt,
-            sample_stride=cfg.sample_stride,
-        )
+        base = cfg.simulation(1.1)
         curve = charge_averaged_survival(
             base, n_g_grid=np.array(cfg.n_g_grid), nbar_axis=result.nbar_axis
         )
@@ -239,6 +233,7 @@ class TestSweepConfig:
             ({"level_count": 1}, "level_count"),
             ({"k_eff": None, "g": 0.0}, "positive"),
             ({"k_eff": -0.048}, "positive"),
+            ({"initial_states": [0, 0]}, "repeat"),
         ],
     )
     def test_rejected_when_built(self, overrides, match, tmp_path):
@@ -251,7 +246,19 @@ class TestSweepConfig:
     def test_resolved_drive_is_resonant_by_default(self):
         cfg = small_config()
         assert cfg.drive().detuning == 0.0
-        assert cfg.resolved_omega_d == cfg.omega_r
+        assert cfg.drive().omega_d == cfg.omega_r
+
+    @pytest.mark.parametrize(
+        "name, value, match", [("dt", 0.1, "dt"), ("threshold", 1.5, "threshold")]
+    )
+    def test_field_set_after_construction_is_checked(self, monkeypatch, name, value, match):
+        calls = []
+        monkeypatch.setattr(sweep_mod, "_sweep_worker", calls.append)
+        cfg = small_config()
+        setattr(cfg, name, value)
+        with pytest.raises(ValueError, match=match):
+            run_sweep(cfg)
+        assert calls == []
 
 
 class TestOracleCheck:
