@@ -127,13 +127,9 @@ def bond_phase(config: StripConfig, alpha, mag, t) -> np.ndarray:
 
     ``mag`` is |alpha| as the caller computed it (|alpha| or sqrt(nbar)), so
     the phase rounds exactly as the stack it belongs to; u = 1 where it is 0.
-    A scalar skips the array masking, which would cost more than the matrix
-    built from it (the oracle builds one matrix per call).
     """
-    if isinstance(mag, np.ndarray):
-        unit = np.where(mag > 0, alpha / np.where(mag > 0, mag, 1.0), 1.0)
-    else:
-        unit = alpha / mag if mag > 0 else 1.0
+    live = np.greater(mag, 0)
+    unit = np.where(live, alpha / np.where(live, mag, 1.0), 1.0)
     theta = 2 * np.pi * (config.omega_r - config.omega_d)
     return unit * np.exp(1j * theta * t)
 

@@ -252,8 +252,8 @@ def _write_failure_artifacts(
 
 
 def _sweep_worker(task) -> list[np.ndarray]:
-    """Survival curves of one (delta, n_g) point, one per state in ``task[3]``."""
-    base, _, n_g, states, nbar_axis = task
+    """Survival curves of one (delta, n_g) point, one per state in ``task[2]``."""
+    base, n_g, states, nbar_axis = task
     return member_survival(_rebuild_at_offset_charge(base, n_g), states, nbar_axis)
 
 
@@ -272,7 +272,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     tasks = []
     for delta in config.delta_grid:
         base = config.simulation(delta, config.n_g_grid[0])
-        tasks.extend((base, delta, n_g, states, nbar_axis) for n_g in config.n_g_grid)
+        tasks.extend((base, n_g, states, nbar_axis) for n_g in config.n_g_grid)
 
     # one row of curves per task, in task order
     members = np.empty((len(tasks), len(states), len(nbar_axis)))

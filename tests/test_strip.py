@@ -51,6 +51,18 @@ class TestEffectiveHamiltonian:
         assert not np.allclose(h0, h1)
         assert np.allclose(np.diag(h0), np.diag(h1))
 
+    def test_bond_phase_is_field_phase_plus_detuning_winding(self, ref_eigen):
+        # h[k, k+1] = |bond_k| * (alpha/|alpha|) * exp(+i*2*pi*(omega_r - omega_d)*t)
+        cfg = StripConfig(eigen=ref_eigen, omega_r=OMEGA_R, omega_d=OMEGA_R - 0.01, k_eff=K_EFF)
+        alpha, t = 5.0 * np.exp(0.4j), 10.0  # nbar = 25 keeps every bond open
+        k = np.arange(cfg.level_count - 1)
+        magnitude = effective_hamiltonian(cfg, abs(alpha))[k, k + 1]
+        assert np.all(magnitude.real > 0) and np.all(magnitude.imag == 0)
+        phase = np.exp(1j * (0.4 + 2 * np.pi * 0.01 * t))
+        h = effective_hamiltonian(cfg, alpha, t=t)
+        assert np.allclose(h[k, k + 1], phase * magnitude, rtol=1e-12, atol=0)
+        assert np.allclose(h[k + 1, k], np.conj(phase) * magnitude, rtol=1e-12, atol=0)
+
     def test_hermitian(self, ref_strip):
         h = effective_hamiltonian(ref_strip, 1.7 * np.exp(0.6j), t=3.0)
         assert np.allclose(h, h.conj().T, atol=0)

@@ -69,7 +69,7 @@ class TestRunSweep:
         original = sweep_mod._sweep_worker
 
         def failing(task):
-            if task[2] == -0.25:  # n_g of the injected failure
+            if task[1] == -0.25:  # n_g of the injected failure
                 raise np.linalg.LinAlgError("injected")
             return original(task)
 
@@ -81,7 +81,7 @@ class TestRunSweep:
         original = sweep_mod._sweep_worker
 
         def failing(task):
-            if task[2] == 0.0:  # last n_g in the grid fails
+            if task[1] == 0.0:  # last n_g in the grid fails
                 raise np.linalg.LinAlgError("injected")
             return original(task)
 
@@ -99,7 +99,7 @@ class TestRunSweep:
         original = sweep_mod._sweep_worker
 
         def failing(task):
-            if task[2] == -0.25:
+            if task[1] == -0.25:
                 raise np.linalg.LinAlgError("injected")
             return original(task)
 
