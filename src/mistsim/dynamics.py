@@ -76,13 +76,16 @@ class SimulationConfig:
     sample_stride: int = 2
 
     def __post_init__(self):
-        _check_step(self.dt, self.sample_stride)
+        _check_step(self.dt, self.sample_stride, self.drive.duration)
         _check_state(self.initial_state, self.strip.level_count)
 
 
-def _check_step(dt: float, sample_stride: int) -> None:
+def _check_step(dt: float, sample_stride: int, duration: float) -> None:
     if not 0 < dt <= MAX_DT:
         raise ValueError(f"dt must be in (0, {MAX_DT}] ns, got {dt}")
+    # the step grid ends at round(duration / dt) * dt; it must end with the pulse
+    if abs(round(duration / dt) * dt - duration) > EDGE_MERGE_TOL:
+        raise ValueError(f"dt = {dt} ns does not divide the duration {duration} ns")
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
 
@@ -260,7 +263,7 @@ def propagate_states(config: SimulationConfig, states) -> list[PopulationTrace]:
     # instantaneous eigenbasis at sample times, tracked from the bare labels
     alpha_s = alpha_grid[np.searchsorted(grid, t_s)]
     nbar_s = np.abs(alpha_s) ** 2
-    _, evecs_s, columns, flagged = tracked_eigenbasis(strip_cfg, nbar_s)
+    _, vectors, flagged = tracked_eigenbasis(strip_cfg, nbar_s)
     if gauge_varies:
         # back to the rotated gauge of the sample-time stack
         unit_s = bond_phase(strip_cfg, alpha_s, np.sqrt(nbar_s), t_s)
@@ -278,9 +281,7 @@ def propagate_states(config: SimulationConfig, states) -> list[PopulationTrace]:
             )
         if gauge_varies:
             psis = np.multiply(rotation, psis)
-        populations = np.array(
-            [np.abs(v[:, c].T @ psi) ** 2 for v, c, psi in zip(evecs_s, columns, psis)]
-        )
+        populations = np.array([np.abs(v.T @ psi) ** 2 for v, psi in zip(vectors, psis)])
         traces.append(
             PopulationTrace(
                 times=t_s.copy(),

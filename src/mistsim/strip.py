@@ -29,7 +29,6 @@ __all__ = [
     "bond_amplitudes",
     "bond_phase",
     "match_branches",
-    "track_branches",
     "tracked_eigenbasis",
 ]
 
@@ -223,40 +222,33 @@ def match_branches(prev_vecs: np.ndarray, cur_vecs: np.ndarray) -> tuple[np.ndar
     return columns, low_overlap, ambiguous
 
 
-def track_branches(evecs: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Branch identity along a (S, K, K) eigenvector stack in eigenvalue order.
-
-    The first matrix must be diagonal (nbar = 0), so branch j is anchored to
-    the eigenvector of bare level j; each later point is matched to the
-    previous one by ``match_branches``. Returns (columns, flagged) where
-    ``columns[i, j]`` indexes the eigenvector of branch j at point i and
-    ``flagged`` lists the points with a low-overlap or ambiguous match.
-    """
-    columns = np.empty(evecs.shape[:2], dtype=int)
-    columns[0, np.argmax(np.abs(evecs[0]), axis=0)] = np.arange(evecs.shape[2])
-    flagged = []
-    prev = evecs[0][:, columns[0]]
-    for i in range(1, len(evecs)):
-        columns[i], low, ambiguous = match_branches(prev, evecs[i])
-        if low or ambiguous:
-            flagged.append(i)
-        prev = evecs[i][:, columns[i]]
-    return columns, flagged
-
-
 def tracked_eigenbasis(
     config: StripConfig, nbar: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
-    """Instantaneous eigenbasis at each photon number, with tracked branches.
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Instantaneous eigenbasis at each photon number, in branch order.
 
-    ``nbar`` must start at 0 (see ``track_branches``). Returns (evals, evecs,
-    columns, flagged): the eigenvalue-ordered ``eigh`` results of the strip
-    at each photon number plus ``track_branches`` of the eigenvectors.
+    ``nbar`` must start at 0, so branch j is anchored to the eigenvector of
+    bare level j; each later point is matched to the previous one by
+    ``match_branches``. Returns (energies, vectors, flagged): ``energies[i, j]``
+    and ``vectors[i, :, j]`` belong to branch j at point i, and ``flagged``
+    lists the points with a low-overlap or ambiguous match.
     """
     evals, evecs = np.linalg.eigh(
         tridiagonal_stack(config.rotating_diagonal, bond_amplitudes(config, nbar))
     )
-    return (evals, evecs, *track_branches(evecs))
+    energies = np.empty_like(evals)
+    vectors = np.empty_like(evecs)
+    columns = np.empty(evals.shape[1], dtype=int)
+    columns[np.argmax(np.abs(evecs[0]), axis=0)] = np.arange(evals.shape[1])
+    flagged = []
+    for i in range(len(evecs)):
+        if i:
+            columns, low, ambiguous = match_branches(vectors[i - 1], evecs[i])
+            if low or ambiguous:
+                flagged.append(i)
+        energies[i] = evals[i, columns]
+        vectors[i] = evecs[i][:, columns]
+    return energies, vectors, flagged
 
 
 def fan_diagram(config: StripConfig, nbar_grid: np.ndarray) -> SpectrumResult:
@@ -272,8 +264,8 @@ def fan_diagram(config: StripConfig, nbar_grid: np.ndarray) -> SpectrumResult:
     if np.any(np.diff(nbar_grid) <= 0):
         raise ValueError("nbar_grid must be sorted strictly ascending")
 
-    evals, _, columns, flagged = tracked_eigenbasis(config, nbar_grid)
-    branches = np.take_along_axis(evals, columns, axis=1).T
+    energies, _, flagged = tracked_eigenbasis(config, nbar_grid)
+    branches = energies.T
     branches[:, 0] = config.rotating_diagonal  # exact bare energies at nbar = 0
     return SpectrumResult(nbar_grid=nbar_grid, branches=branches, flagged_points=flagged)
 
@@ -298,31 +290,19 @@ def find_avoided_crossings(
     """
     if len(spectrum.nbar_grid) < 3:
         raise ValueError("need at least 3 grid points to locate crossings")
-    records = []
-    n_branches = spectrum.branches.shape[0]
     x = spectrum.nbar_grid
-    for a in range(n_branches):
-        for b in range(a + 1, n_branches):
-            gap = np.abs(spectrum.branches[a] - spectrum.branches[b])
-            interior = np.arange(1, len(x) - 1)
-            # prominence floor keeps rounding noise on near-parallel branches
-            # from registering as minima
-            noise = 1e-12 + 1e-10 * gap[interior]
-            is_min = (gap[interior] < gap[interior - 1] - noise) & (
-                gap[interior] <= gap[interior + 1]
-            )
-            for i in interior[is_min]:
-                nbar_c, gap_c = _parabolic_refine(x[i - 1 : i + 2], gap[i - 1 : i + 2])
-                if min_gap <= gap_c <= max_gap:
-                    records.append(
-                        CrossingRecord(
-                            branch_a=a,
-                            branch_b=b,
-                            nbar_cross=nbar_c,
-                            gap=gap_c,
-                            g_eff=gap_c / 2.0,
-                        )
-                    )
+    a, b = np.triu_indices(spectrum.branches.shape[0], 1)
+    gap = np.abs(spectrum.branches[a] - spectrum.branches[b])  # (pairs, grid)
+    mid = gap[:, 1:-1]
+    # prominence floor keeps rounding noise on near-parallel branches from
+    # registering as minima
+    noise = 1e-12 + 1e-10 * mid
+    pairs, points = np.nonzero((mid < gap[:, :-2] - noise) & (mid <= gap[:, 2:]))
+    records = []
+    for p, i in zip(pairs, points + 1):
+        nbar_c, gap_c = _parabolic_refine(x[i - 1 : i + 2], gap[p, i - 1 : i + 2])
+        if min_gap <= gap_c <= max_gap:
+            records.append(CrossingRecord(int(a[p]), int(b[p]), nbar_c, gap_c, gap_c / 2.0))
     return records
 
 

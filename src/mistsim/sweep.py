@@ -102,7 +102,9 @@ class SweepConfig:
             raise ValueError(f"initial_states must not repeat, got {self.initial_states}")
         for state in self.initial_states:
             _check_state(state, self.level_count)
-        _check_step(self.dt, self.sample_stride)
+        if not self.epsilon > 0:
+            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        _check_step(self.dt, self.sample_stride, self.duration)
         # survival is read against nbar(t), which needs a monotone ring-up; a
         # drive detuned from the dressed resonator rings up and back down
         drive = self.drive()
@@ -346,7 +348,7 @@ def strip_for_detuning(config: SweepConfig, delta: float, n_g: float) -> StripCo
     """
     params = TransmonParams(
         e_c=config.e_c,
-        e_j=ej_for_frequency(config.e_c, config.omega_r + delta, 0.0, config.charge_cutoff),
+        e_j=ej_for_frequency(config.e_c, config.omega_r + delta, config.charge_cutoff),
         n_g=n_g,
         charge_cutoff=config.charge_cutoff,
         level_count=config.level_count,

@@ -75,8 +75,10 @@ class TransmonEigen:
     """Diagonalized level structure.
 
     ``energies`` are referenced so that ``energies[0] == 0``. ``couplings[k]``
-    is the charge matrix element <k|n|k+1> normalized by <0|n|1>, with the
-    eigenvector gauge fixed so every element is non-negative.
+    is the magnitude |<k|n|k+1>| normalized by |<0|n|1>| (``raw_n01``). The
+    strip couples nearest neighbours only, so the signs of these elements can
+    be gauged away by flipping eigenvector signs in turn; the magnitudes are
+    the gauge-fixed elements.
     """
 
     energies: np.ndarray
@@ -106,7 +108,7 @@ def build_charge_hamiltonian(params: TransmonParams) -> np.ndarray:
 
     Returns a real symmetric matrix of dimension 2N+1 in GHz.
     """
-    n = np.arange(-params.charge_cutoff, params.charge_cutoff + 1)
+    n = _charge_numbers(params)
     h = np.diag(4.0 * params.e_c * (n - params.n_g) ** 2)
     off = -params.e_j / 2.0 * np.ones(len(n) - 1)
     h += np.diag(off, 1) + np.diag(off, -1)
@@ -130,9 +132,10 @@ def _eigensystem(params: TransmonParams) -> tuple[np.ndarray, np.ndarray]:
 def diagonalize(params: TransmonParams) -> TransmonEigen:
     """Lowest level_count eigenpairs with gauge-fixed charge couplings.
 
-    The eigenvector signs are fixed sequentially so that <k|n|k+1> >= 0 for
-    every adjacent pair; couplings enter the driven model coherently, so a
-    deterministic gauge matters.
+    The couplings are the magnitudes |<k|n|k+1>|. Flipping eigenvector signs
+    in turn until every adjacent element is >= 0 yields exactly these values,
+    because a negated vector negates each term of the dot product exactly; in
+    a nearest-neighbour strip that gauge removes every bond sign.
     """
     k_count = params.level_count
     evals, evecs = _eigensystem(params)
@@ -148,12 +151,8 @@ def diagonalize(params: TransmonParams) -> TransmonEigen:
         )
 
     n_diag = _charge_numbers(params)
-    vecs = evecs[:, :k_count].copy()
-    for k in range(k_count - 1):
-        if vecs[:, k] @ (n_diag * vecs[:, k + 1]) < 0:
-            vecs[:, k + 1] *= -1.0
-    elements = np.array(
-        [vecs[:, k] @ (n_diag * vecs[:, k + 1]) for k in range(k_count - 1)]
+    elements = np.abs(
+        [evecs[:, k] @ (n_diag * evecs[:, k + 1]) for k in range(k_count - 1)]
     )
 
     raw_n01 = float(elements[0])
@@ -174,10 +173,9 @@ def diagonalize(params: TransmonParams) -> TransmonEigen:
 def ej_for_frequency(
     e_c: float,
     target_omega_q: float,
-    n_g_ref: float = 0.0,
     charge_cutoff: int = 30,
 ) -> float:
-    """Junction energy E_J (GHz) whose 0-1 transition equals the target.
+    """Junction energy E_J (GHz) whose 0-1 transition equals the target at n_g = 0.
 
     Solved by bracketed root finding seeded with the transmon-limit estimate
     E_J ~ (target + E_C)^2 / (8 E_C); the 0-1 frequency is monotone in E_J, so
@@ -189,9 +187,7 @@ def ej_for_frequency(
         raise ValueError(f"target frequency must be positive, got {target_omega_q}")
 
     def freq_error(e_j: float) -> float:
-        p = TransmonParams(
-            e_c=e_c, e_j=e_j, n_g=n_g_ref, charge_cutoff=charge_cutoff, level_count=2
-        )
+        p = TransmonParams(e_c=e_c, e_j=e_j, charge_cutoff=charge_cutoff, level_count=2)
         evals, _ = _eigensystem(p)
         return (evals[1] - evals[0]) - target_omega_q
 
@@ -221,19 +217,15 @@ def ej_for_frequency(
     return float(e_j)
 
 
-def charge_dispersion(
-    params: TransmonParams,
-    level: int,
-    n_g_grid: np.ndarray | None = None,
-) -> float:
+def charge_dispersion(params: TransmonParams, level: int) -> float:
     """Peak-to-peak offset-charge dispersion of a level in GHz.
 
     For level >= 1 this is the spread of the transition energy E_k - E_0 over
-    the grid; for level 0 the spread of the absolute ground energy (the 0-0
-    transition is identically zero). The n_g of ``params`` is ignored.
+    21 offset charges evenly spaced on [-0.5, 0.5]; for level 0 the spread of
+    the absolute ground energy (the 0-0 transition is identically zero). The
+    n_g of ``params`` is ignored.
     """
-    if n_g_grid is None:
-        n_g_grid = np.linspace(-0.5, 0.5, 21)
+    n_g_grid = np.linspace(-0.5, 0.5, 21)
     if level >= params.level_count:
         raise ValueError(f"level {level} not kept (level_count={params.level_count})")
     values = np.empty(len(n_g_grid))

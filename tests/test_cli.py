@@ -193,7 +193,7 @@ class TestSweepCommand:
         assert {"n_g_grid", "initial_states", "delta_grid"} <= {a.dest for a in actions}
         # 3 and [1, 2] pass every SweepConfig check for every field but these
         # bounded ones; each value differs from the field's default
-        bounded = {"dt": 0.03, "threshold": 0.5, "charge_cutoff": 33}
+        bounded = {"dt": 0.04, "threshold": 0.5, "charge_cutoff": 33}
         for action in actions:
             scalar = action.type(bounded.get(action.dest, 3))
             value = [action.type(1), action.type(2)] if action.nargs == "+" else scalar

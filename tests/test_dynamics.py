@@ -169,6 +169,15 @@ class TestPropagate:
             SimulationConfig(strip=ref_strip, drive=ref_drive, initial_state=20)
         with pytest.raises(ValueError):
             SimulationConfig(strip=ref_strip, drive=ref_drive, sample_stride=0)
+        # a step grid that overshoots (0.049) or stops short (0.03, 30.02 ns)
+        for dt, duration in ((0.049, 100.0), (0.03, 100.0), (0.05, 30.02)):
+            drive = replace(ref_drive, duration=duration)
+            with pytest.raises(ValueError, match="does not divide"):
+                SimulationConfig(strip=ref_strip, drive=drive, dt=dt)
+        accepted = ((0.05, 100.0), (0.0025, 100.0), (0.005, 100.0), (0.01, 10.0), (0.05, 30.0))
+        for dt, duration in accepted:
+            drive = replace(ref_drive, duration=duration)
+            assert SimulationConfig(strip=ref_strip, drive=drive, dt=dt).dt == dt
 
     @pytest.mark.parametrize("kind", ["resonant", "dressed", "tabulated"])
     def test_states_in_one_pass_equal_single_runs(self, ref_strip, ref_drive, kind):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,12 +8,15 @@ from mistsim.strip import (
     CrossingRecord,
     SpectrumResult,
     StripConfig,
+    bond_amplitudes,
     effective_hamiltonian,
     fan_diagram,
     find_avoided_crossings,
     g_eff_perturbative,
     jtc_strip_hamiltonian,
     match_branches,
+    tracked_eigenbasis,
+    tridiagonal_stack,
 )
 from mistsim.transmon import TransmonEigen, TransmonParams, diagonalize, ej_for_frequency
 
@@ -143,6 +148,17 @@ class TestFanDiagram:
         assert lines[0].startswith("nbar,branch_0,")
         assert len(lines) == 1 + len(ref_fan.nbar_grid)
 
+    def test_tracked_eigenbasis_diagonalizes_each_point(self, ref_strip, ref_fan):
+        grid = ref_fan.nbar_grid
+        energies, vectors, flagged = tracked_eigenbasis(ref_strip, grid)
+        stack = tridiagonal_stack(ref_strip.rotating_diagonal, bond_amplitudes(ref_strip, grid))
+        for h, e, v in zip(stack, energies, vectors):
+            assert np.allclose(v.T @ h @ v, np.diag(e), rtol=0, atol=1e-10)
+        # the fan replaces only the nbar = 0 column by the exact bare energies
+        assert np.array_equal(energies.T[:, 1:], ref_fan.branches[:, 1:])
+        assert np.allclose(energies[0], ref_fan.branches[:, 0], rtol=0, atol=1e-12)
+        assert flagged == ref_fan.flagged_points
+
     def test_coarse_grid_flags_unresolved_tracking(self, ref_strip, ref_fan):
         coarse = fan_diagram(ref_strip, np.arange(0.0, 60.0 + 1e-9, 10.0))
         assert coarse.flagged_points  # eigenvectors reorganize within one step
@@ -173,6 +189,22 @@ class TestAvoidedCrossings:
         rec = records[0]
         assert abs(rec.gap - 2 * coupling) / (2 * coupling) < 0.01
         assert abs(rec.nbar_cross - center) < 0.25
+
+    def test_records_ordered_by_pair_then_photon_number(self):
+        grid = np.linspace(0.0, 10.0, 101)
+        branches = np.vstack(
+            [
+                np.zeros_like(grid),
+                1.0 + 0.5 * np.cos(2 * np.pi * grid / 5),  # gap to 0 dips at 2.5 and 7.5
+                3.0 + 0.5 * (grid - 1.0) ** 2,  # gap to 0 dips at 1, gap to 1 below 1
+            ]
+        )
+        records = find_avoided_crossings(SpectrumResult(grid, branches), 0.0, 10.0)
+        assert [(r.branch_a, r.branch_b) for r in records] == [(0, 1), (0, 1), (0, 2), (1, 2)]
+        nbar = [r.nbar_cross for r in records]
+        assert nbar[:3] == pytest.approx([2.5, 7.5, 1.0], abs=1e-6)
+        assert 0.0 < nbar[3] < 1.0
+        assert json.loads(json.dumps([r.to_dict() for r in records]))[2]["branch_b"] == 2
 
     def test_parallel_branches_yield_nothing(self):
         grid = np.arange(0.0, 10.0 + 1e-9, 0.5)

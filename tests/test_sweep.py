@@ -34,7 +34,7 @@ class TestRunSweep:
             delta_grid=[1.1],
             n_g_grid=[0.0],
             initial_states=[0],
-            epsilon=0.0,
+            epsilon=0.001,  # 0.02 photons at 30 ns, below the first axis step
             duration=30.0,
         )
         result = run_sweep(cfg)
@@ -222,7 +222,6 @@ class TestSweepConfig:
         # a 20 MHz detuned drive rings up and back down within the pulse
         with pytest.raises(ValueError, match="not monotone"):
             small_config(omega_d=4.77, omega_r_dressed=4.75)
-        small_config(epsilon=0.0)  # flat ring-up
         small_config(omega_d=4.745, omega_r_dressed=4.745)  # dressed-frequency drive
 
     @pytest.mark.parametrize(
@@ -234,6 +233,10 @@ class TestSweepConfig:
             ({"k_eff": None, "g": 0.0}, "positive"),
             ({"k_eff": -0.048}, "positive"),
             ({"initial_states": [0, 0]}, "repeat"),
+            ({"epsilon": 0.0}, "epsilon"),
+            ({"epsilon": -0.045}, "epsilon"),
+            ({"dt": 0.03}, "does not divide"),
+            ({"duration": 50.02}, "does not divide"),
         ],
     )
     def test_rejected_when_built(self, overrides, match, tmp_path):

@@ -11,7 +11,7 @@ from mistsim.transmon import (
     k_bend,
 )
 
-from conftest import E_C, OMEGA_R, REF_DELTA
+from conftest import E_C, OMEGA_R, REF_DELTA, REF_NG
 
 
 class TestChargeHamiltonian:
@@ -64,6 +64,18 @@ class TestDiagonalize:
         assert ref_eigen.couplings[0] == 1.0
         assert np.all(ref_eigen.couplings >= 0)
         assert ref_eigen.raw_n01 > 0
+
+    def test_couplings_are_charge_element_magnitudes(self, ref_ej, ref_eigen):
+        # the raw eigh elements have mixed signs here, so a signed coupling
+        # or a missed sign flip would show
+        params = TransmonParams(e_c=E_C, e_j=ref_ej, n_g=REF_NG)
+        _, vecs = np.linalg.eigh(build_charge_hamiltonian(params))
+        n = np.arange(-params.charge_cutoff, params.charge_cutoff + 1)
+        raw = np.diag(vecs.T @ np.diag(n) @ vecs, 1)[: params.level_count - 1]
+        assert np.any(raw < 0) and np.any(raw > 0)
+        expected = np.abs(raw) / abs(raw[0])
+        assert np.allclose(ref_eigen.couplings, expected, rtol=0, atol=1e-12)
+        assert ref_eigen.raw_n01 == pytest.approx(abs(raw[0]), rel=1e-12)
 
     def test_energies_referenced_and_sorted(self, ref_eigen):
         assert ref_eigen.energies[0] == 0.0
@@ -136,7 +148,7 @@ class TestEjForFrequency:
 
     @pytest.mark.parametrize("target", [5.35, 5.85, 6.35])
     def test_round_trip(self, target):
-        e_j = ej_for_frequency(E_C, target, n_g_ref=0.0)
+        e_j = ej_for_frequency(E_C, target)
         eigen = diagonalize(TransmonParams(e_c=E_C, e_j=e_j, n_g=0.0))
         assert abs(eigen.qubit_frequency - target) < 1e-6
 
