@@ -152,20 +152,15 @@ class TransitionBoundary:
         return nf - np.sqrt(nf)
 
 
-def fit_boundary(points: list[OnsetPoint], weighted: bool = False) -> TransitionBoundary:
-    """Least-squares line fit of ln(nbar_onset) versus delta.
-
-    Unweighted by default; with ``weighted`` the residuals are scaled by
-    sqrt(nbar) (inverse log-space standard deviation for +-sqrt(nbar) errors).
-    """
+def fit_boundary(points: list[OnsetPoint]) -> TransitionBoundary:
+    """Unweighted least-squares line fit of ln(nbar_onset) versus delta."""
     if len({p.delta for p in points}) < 2:
         raise ValueError("need onset points at >= 2 distinct detunings")
     nbar = np.array([p.nbar_onset for p in points])
     if np.any(nbar <= 0):
         raise ValueError("onset photon numbers must be positive")
     delta = np.array([p.delta for p in points])
-    w = np.sqrt(nbar) if weighted else None
-    slope, intercept = np.polyfit(delta, np.log(nbar), 1, w=w)
+    slope, intercept = np.polyfit(delta, np.log(nbar), 1)
     return TransitionBoundary(A=float(np.exp(intercept)), B=float(slope), points=list(points))
 
 

@@ -78,6 +78,12 @@ class SimulationConfig:
     def __post_init__(self):
         _check_step(self.dt, self.sample_stride, self.drive.duration)
         _check_state(self.initial_state, self.strip.level_count)
+        # the bonds wind at strip.omega_d, the field at drive.omega_d
+        if self.strip.omega_d != self.drive.omega_d:
+            raise ValueError(
+                f"strip omega_d = {self.strip.omega_d} GHz differs from "
+                f"drive omega_d = {self.drive.omega_d} GHz"
+            )
 
 
 def _check_step(dt: float, sample_stride: int, duration: float) -> None:

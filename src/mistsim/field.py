@@ -2,11 +2,13 @@
 
 The amplitude obeys the linear equation
 
-    d(alpha)/dt = -i*delta*alpha - (kappa/2)*alpha - i*eps
+    d(alpha)/dt = -lam*alpha - i*eps,    lam = i*delta + kappa/2
 
-with delta = 2*pi*(omega_r_dressed - omega_d) in rad/ns and eps = 2*pi*epsilon
-in rad/ns. For a square pulse the closed form is exact and is the primary
-path; fixed-step RK4 exists for tabulated envelopes.
+with delta = 2*pi*(omega_r_dressed - omega_d) and eps = 2*pi*epsilon in
+rad/ns. ``DriveConfig.rate`` is lam and ``_rhs`` the right-hand side. Both
+solvers start from the vacuum, alpha = 0 at t = 0. For a square pulse the
+closed form is exact and is the primary path; fixed-step RK4 exists for
+tabulated envelopes.
 """
 
 from __future__ import annotations
@@ -47,11 +49,11 @@ class DriveConfig:
     envelope: str | tuple[np.ndarray, np.ndarray] = "square"
 
     def __post_init__(self):
-        if self.kappa <= 0:
+        if not self.kappa > 0:
             raise ValueError(f"kappa must be positive, got {self.kappa}")
-        if self.duration <= 0:
+        if not self.duration > 0:
             raise ValueError(f"duration must be positive, got {self.duration}")
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:
             raise ValueError(f"epsilon must be non-negative, got {self.epsilon}")
         if isinstance(self.envelope, str):
             if self.envelope != "square":
@@ -69,14 +71,19 @@ class DriveConfig:
         return self.omega_r_dressed - self.omega_d
 
     @property
+    def rate(self) -> complex:
+        """lam = i*2*pi*detuning + kappa/2 in 1/ns, the complex decay rate of alpha."""
+        return 1j * 2 * np.pi * self.detuning + self.kappa / 2.0
+
+    @property
     def steady_state_nbar(self) -> float:
         """|alpha|^2 reached by an endless square drive."""
-        lam = 1j * 2 * np.pi * self.detuning + self.kappa / 2.0
-        return float(abs(-1j * 2 * np.pi * self.epsilon / lam) ** 2)
+        return float(abs(-1j * 2 * np.pi * self.epsilon / self.rate) ** 2)
 
     def default_time_grid(self) -> np.ndarray:
-        n = int(round(self.duration / DEFAULT_TIME_STEP))
-        return np.linspace(0.0, n * DEFAULT_TIME_STEP, n + 1)
+        """0 to ``duration`` in equal steps of at most 0.01 ns."""
+        n = int(np.ceil(self.duration / DEFAULT_TIME_STEP - 1e-9))
+        return np.linspace(0.0, self.duration, n + 1)
 
 
 @dataclass
@@ -96,17 +103,15 @@ class FieldTrajectory:
         write_table(path, header_lines, ["t_ns", "re_alpha", "im_alpha", "nbar"], rows)
 
 
-def _closed_form_alpha(drive: DriveConfig, times: np.ndarray, alpha0: complex) -> np.ndarray:
-    lam = 1j * 2 * np.pi * drive.detuning + drive.kappa / 2.0
+def _closed_form_alpha(drive: DriveConfig, times: np.ndarray) -> np.ndarray:
+    lam = drive.rate
     eps_ang = 2 * np.pi * drive.epsilon
-    decay = np.exp(-lam * times)
-    return alpha0 * decay + (-1j * eps_ang / lam) * (1.0 - decay)
+    # + 0.0: alpha(0) is +0 in both components, never a signed zero
+    return (-1j * eps_ang / lam) * (1.0 - np.exp(-lam * times)) + 0.0
 
 
 def evolve_field_closed_form(
-    drive: DriveConfig,
-    t_grid: np.ndarray | None = None,
-    alpha0: complex = 0j,
+    drive: DriveConfig, t_grid: np.ndarray | None = None
 ) -> FieldTrajectory:
     """Exact solution for a square pulse sampled on ``t_grid``."""
     if drive.envelope != "square":
@@ -114,51 +119,41 @@ def evolve_field_closed_form(
     if t_grid is None:
         t_grid = drive.default_time_grid()
     t_grid = np.asarray(t_grid, float)
-    return FieldTrajectory.from_alpha(t_grid, _closed_form_alpha(drive, t_grid, alpha0))
+    return FieldTrajectory.from_alpha(t_grid, _closed_form_alpha(drive, t_grid))
 
 
-def _envelope_fn(drive: DriveConfig):
+def _rhs(drive: DriveConfig):
+    """The field equation's right-hand side as a function of (t, alpha)."""
+    lam = drive.rate
     if drive.envelope == "square":
         eps = 2 * np.pi * drive.epsilon
-        return lambda t: eps
+        return lambda t, a: -lam * a - 1j * eps
     t_tab, v_tab = drive.envelope
     t_tab = np.asarray(t_tab, float)
     v_tab = 2 * np.pi * np.asarray(v_tab, float)
-    return lambda t: np.interp(t, t_tab, v_tab)
+    return lambda t, a: -lam * a - 1j * np.interp(t, t_tab, v_tab)
 
 
 def evolve_field_numeric(
-    drive: DriveConfig,
-    t_grid: np.ndarray | None = None,
-    alpha0: complex = 0j,
-    step: float | None = None,
+    drive: DriveConfig, t_grid: np.ndarray | None = None
 ) -> FieldTrajectory:
     """Fixed-step RK4 integration, for arbitrary envelopes.
 
-    The internal step must satisfy step <= min(0.01/kappa, 0.05 ns); a larger
-    requested step is rejected. Matches the closed form to |d_alpha| < 1e-8
-    on square pulses.
+    Integrates from alpha = 0 at t = 0 through the ascending ``t_grid``
+    (t >= 0) in substeps of at most min(0.01/kappa, 0.05 ns). Matches the
+    closed form to |d_alpha| < 1e-8 on square pulses.
     """
     if t_grid is None:
         t_grid = drive.default_time_grid()
     t_grid = np.asarray(t_grid, float)
-    h_max = min(0.01 / drive.kappa, 0.05)
-    if step is None:
-        step = h_max
-    elif step > h_max:
-        raise ValueError(f"step {step} ns violates bound {h_max:.4g} ns")
-
-    lam = 1j * 2 * np.pi * drive.detuning + drive.kappa / 2.0
-    eps_of = _envelope_fn(drive)
-
-    def rhs(t, a):
-        return -lam * a - 1j * eps_of(t)
+    if t_grid[0] < 0 or np.any(np.diff(t_grid) < 0):
+        raise ValueError("t_grid must ascend from t >= 0")
+    step = min(0.01 / drive.kappa, 0.05)
+    rhs = _rhs(drive)
 
     alpha = np.empty(len(t_grid), dtype=complex)
-    alpha[0] = alpha0
-    a = complex(alpha0)
-    for i in range(len(t_grid) - 1):
-        t0, t1 = t_grid[i], t_grid[i + 1]
+    a, t0 = 0j, 0.0
+    for i, t1 in enumerate(t_grid):
         n_sub = max(1, int(np.ceil((t1 - t0) / step - 1e-12)))
         h = (t1 - t0) / n_sub
         t = t0
@@ -169,7 +164,8 @@ def evolve_field_numeric(
             k4 = rhs(t + h, a + h * k3)
             a = a + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
             t += h
-        alpha[i + 1] = a
+        alpha[i] = a
+        t0 = t1
     return FieldTrajectory.from_alpha(t_grid, alpha)
 
 
@@ -190,9 +186,7 @@ def level_crossings(
     i, j = np.nonzero(above[1:] != above[:-1])
     if len(i) == 0:
         return np.empty(0)
-    lam = 1j * 2 * np.pi * drive.detuning + drive.kappa / 2.0
-    eps_of = _envelope_fn(drive)
-    slope = -lam * alpha - 1j * np.broadcast_to(eps_of(times), times.shape)
+    slope = _rhs(drive)(times, alpha)
     h = times[i + 1] - times[i]
     a0, a1 = alpha[i], alpha[i + 1]
     m0, m1 = h * slope[i], h * slope[i + 1]
@@ -214,11 +208,8 @@ def level_crossings(
 
 
 def field_amplitude(drive: DriveConfig, times: np.ndarray) -> np.ndarray:
-    """alpha evaluated at arbitrary times >= 0, starting from alpha = 0 at t=0."""
+    """alpha at ``times`` >= 0 (ascending unless the envelope is square)."""
     times = np.asarray(times, float)
     if drive.envelope == "square":
-        return _closed_form_alpha(drive, times, 0j)
-    if times[0] > 0:
-        grid = np.concatenate(([0.0], times))
-        return evolve_field_numeric(drive, grid).alpha[1:]
+        return _closed_form_alpha(drive, times)
     return evolve_field_numeric(drive, times).alpha

@@ -317,6 +317,8 @@ def g_eff_perturbative(config: StripConfig, target_level: int, nbar_cross: float
         raise ValueError(f"target_level must be >= 1, got {m}")
     if m > config.level_count - 1:
         raise ValueError(f"target_level {m} not within the kept levels")
+    if not nbar_cross >= 0:
+        raise ValueError(f"nbar_cross must be >= 0, got {nbar_cross}")
     diag = config.rotating_diagonal
     detunings = diag[1:m] - diag[0]
     small = np.abs(detunings) < 1e-12

@@ -49,6 +49,12 @@ __all__ = [
     "strip_for_detuning",
 ]
 
+_FLOAT_SETTINGS = (
+    "e_c", "k_eff", "g", "omega_r", "omega_d", "omega_r_dressed", "kappa", "epsilon",
+    "duration", "delta_grid", "n_g_grid", "dt", "threshold", "nbar_step",
+)
+
+
 def _default_delta_grid() -> list[float]:
     return [round(0.6 + 0.02 * i, 10) for i in range(51)]
 
@@ -83,6 +89,11 @@ class SweepConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
+        # NaN or inf passes some range checks below and fails deep in a sweep
+        for name in _FLOAT_SETTINGS:
+            value = getattr(self, name)
+            if value is not None and not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite, got {value}")
         if (self.g is None) == (self.k_eff is None):
             raise ValueError("specify exactly one of g, k_eff")
         coupling = self.g if self.g is not None else self.k_eff

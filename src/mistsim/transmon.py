@@ -56,9 +56,9 @@ class TransmonParams:
     level_count: int = 20
 
     def __post_init__(self):
-        if self.e_c <= 0:
+        if not self.e_c > 0:
             raise ValueError(f"e_c must be positive, got {self.e_c}")
-        if self.e_j < 0:
+        if not self.e_j >= 0:
             raise ValueError(f"e_j must be non-negative, got {self.e_j}")
         if self.level_count < 2:
             raise ValueError(f"level_count must be >= 2, got {self.level_count}")

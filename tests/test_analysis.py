@@ -184,10 +184,6 @@ class TestFitBoundary:
         deltas = np.linspace(0.5, 2.0, 20)
         assert np.all(fit.boundary(deltas) < fit.n_fit(deltas))
 
-    def test_weighted_fit_also_exact(self):
-        fit = fit_boundary(self.exact_points(10.0, 2.0, [0.8, 1.0, 1.2]), weighted=True)
-        assert abs(fit.B - 2.0) < 1e-10
-
     @settings(deadline=None, max_examples=25)
     @given(scale=st.floats(min_value=1e-3, max_value=1e3))
     def test_scaling_equivariance(self, scale):

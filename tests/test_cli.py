@@ -116,6 +116,18 @@ class TestTrace:
             lines = (out_dir / name).read_text().splitlines()
             assert lines[0].startswith("# config_hash:")
 
+    def test_field_ends_with_the_trace(self, capsys, tmp_path):
+        # 30.0025 ns is no whole number of 0.01 ns field steps
+        out_dir = tmp_path / "trace"
+        argv = ["--delta", "1.1", "--duration", "30.0025", "--dt", "0.0025", "--stride", "40"]
+        code, _, _ = run_cli(capsys, "trace", *argv, "--out", str(out_dir))
+        assert code == 0
+        last = {
+            name: (out_dir / name).read_text().splitlines()[-1].split(",")[0]
+            for name in ("trace.csv", "field.csv")
+        }
+        assert last == {"trace.csv": "30.0025", "field.csv": "30.0025"}
+
     def test_survival_drop_visible(self, capsys, tmp_path):
         out_dir = tmp_path / "trace"
         run_cli(

@@ -169,6 +169,10 @@ class TestPropagate:
             SimulationConfig(strip=ref_strip, drive=ref_drive, initial_state=20)
         with pytest.raises(ValueError):
             SimulationConfig(strip=ref_strip, drive=ref_drive, sample_stride=0)
+        # bonds winding at 4.75 GHz under a field driven at 4.745 GHz
+        dressed = replace(ref_drive, omega_d=4.745, omega_r_dressed=4.745)
+        with pytest.raises(ValueError, match="omega_d"):
+            SimulationConfig(strip=ref_strip, drive=dressed)
         # a step grid that overshoots (0.049) or stops short (0.03, 30.02 ns)
         for dt, duration in ((0.049, 100.0), (0.03, 100.0), (0.05, 30.02)):
             drive = replace(ref_drive, duration=duration)
@@ -256,7 +260,7 @@ class TestLevelCrossings:
             kappa=KAPPA,
             duration=100.0,
         )
-        sim = SimulationConfig(strip=ref_strip, drive=drive)
+        sim = SimulationConfig(strip=replace(ref_strip, omega_d=OMEGA_R + 0.02), drive=drive)
         grid = np.arange(2001) * sim.dt
         levels = np.arange(1, 19)
         kinks = level_crossings(drive, grid, field_amplitude(drive, grid), levels)

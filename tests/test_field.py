@@ -62,16 +62,6 @@ class TestClosedForm:
         assert np.all(np.diff(traj.nbar) > 0)
         assert np.all(traj.nbar <= drive.steady_state_nbar)
 
-    def test_nonzero_initial_amplitude(self):
-        # decay of alpha0 superposed on the ring-up; cross-check against RK4
-        drive = detuned_drive(0.004)
-        grid = np.linspace(0.0, 80.0, 401)
-        alpha0 = 0.8 - 0.3j
-        exact = evolve_field_closed_form(drive, grid, alpha0=alpha0)
-        numeric = evolve_field_numeric(drive, grid, alpha0=alpha0)
-        assert exact.alpha[0] == alpha0
-        assert np.max(np.abs(numeric.alpha - exact.alpha)) < 1e-8
-
     def test_rejects_tabulated_envelope(self):
         table = (np.array([0.0, 100.0]), np.array([EPSILON, EPSILON]))
         drive = DriveConfig(
@@ -101,13 +91,42 @@ class TestNumeric:
         numeric = evolve_field_numeric(drive, grid)
         assert np.max(np.abs(numeric.alpha - exact.alpha)) < 1e-8
 
-    def test_undriven_decay(self):
-        drive = detuned_drive(0.003, epsilon=0.0)
-        grid = np.linspace(0.0, 60.0, 601)
-        alpha0 = 1.0 + 0.5j
-        numeric = evolve_field_numeric(drive, grid, alpha0=alpha0)
-        lam = 1j * 2 * np.pi * drive.detuning + KAPPA / 2
-        assert np.allclose(numeric.alpha, alpha0 * np.exp(-lam * grid), atol=1e-10)
+    def test_starts_from_vacuum_at_zero_on_any_grid(self):
+        # a grid that starts late still samples the drive switched on at t = 0
+        drive = resonant_drive()
+        grid = np.linspace(10.0, 20.0, 11)
+        exact = evolve_field_closed_form(drive, grid)
+        numeric = evolve_field_numeric(drive, grid)
+        assert abs(exact.alpha[0]) > 1.0
+        assert np.max(np.abs(numeric.alpha - exact.alpha)) < 1e-8
+
+    @pytest.mark.parametrize(
+        "grid", [[0.0, 2.0, 1.0], [-1.0, 0.0, 1.0]], ids=["descending", "before-zero"]
+    )
+    def test_grid_must_ascend_from_zero(self, grid):
+        with pytest.raises(ValueError, match="ascend"):
+            evolve_field_numeric(resonant_drive(), np.array(grid))
+
+    def test_ring_down_after_switch_off(self):
+        # the drive is off from t_off = 50 ns: alpha decays freely at the rate
+        t_off = 50.0
+        table = (np.array([0.0, 49.95, t_off, 100.0]), np.array([EPSILON, EPSILON, 0.0, 0.0]))
+        drive = DriveConfig(
+            epsilon=EPSILON,
+            omega_d=OMEGA_R,
+            omega_r_dressed=OMEGA_R + 0.003,
+            kappa=KAPPA,
+            duration=100.0,
+            envelope=table,
+        )
+        grid = np.linspace(0.0, 100.0, 201)
+        alpha = evolve_field_numeric(drive, grid).alpha
+        after = grid >= t_off
+        alpha_off = alpha[np.argmax(after)]
+        lam = 1j * 2 * np.pi * 0.003 + KAPPA / 2
+        free = alpha_off * np.exp(-lam * (grid[after] - t_off))
+        assert abs(alpha_off) > 1.0
+        assert np.max(np.abs(alpha[after] - free)) < 1e-8
 
     def test_detuned_steady_state(self):
         drive = detuned_drive(0.002, duration=2000.0)
@@ -119,15 +138,11 @@ class TestNumeric:
         assert numeric.nbar[-1] == pytest.approx(expected, rel=1e-3)
 
     def test_grid_refinement_stable(self):
+        # grid spacing below the 0.05 ns substep bound sets the RK4 step
         drive = resonant_drive()
-        grid = np.linspace(0.0, 100.0, 501)
-        coarse = evolve_field_numeric(drive, grid, step=0.05)
-        fine = evolve_field_numeric(drive, grid, step=0.025)
-        assert np.max(np.abs(coarse.alpha - fine.alpha)) < 1e-9
-
-    def test_oversized_step_rejected(self):
-        with pytest.raises(ValueError, match="step"):
-            evolve_field_numeric(resonant_drive(), step=0.2)
+        coarse = evolve_field_numeric(drive, np.linspace(0.0, 100.0, 2001))
+        fine = evolve_field_numeric(drive, np.linspace(0.0, 100.0, 4001))
+        assert np.max(np.abs(coarse.alpha - fine.alpha[::2])) < 1e-9
 
     def test_tabulated_constant_envelope_matches_square(self):
         table = (np.array([0.0, 100.0]), np.array([EPSILON, EPSILON]))
@@ -153,7 +168,8 @@ class TestNumeric:
         assert np.allclose(scaled.alpha, scale * base.alpha, rtol=1e-9, atol=1e-12)
 
     def test_ramp_envelope_step_refinement(self):
-        # no closed form for a ramp; halving the substep must not move alpha
+        # no closed form for a ramp; halving the grid, and with it the
+        # substep, must not move alpha
         table = (np.array([0.0, 50.0, 100.0]), np.array([0.0, EPSILON, EPSILON]))
         drive = DriveConfig(
             epsilon=EPSILON,
@@ -163,10 +179,9 @@ class TestNumeric:
             duration=100.0,
             envelope=table,
         )
-        grid = np.linspace(0.0, 100.0, 201)
-        coarse = evolve_field_numeric(drive, grid, step=0.05)
-        fine = evolve_field_numeric(drive, grid, step=0.025)
-        assert np.max(np.abs(coarse.alpha - fine.alpha)) < 1e-9
+        coarse = evolve_field_numeric(drive, np.linspace(0.0, 100.0, 2001))
+        fine = evolve_field_numeric(drive, np.linspace(0.0, 100.0, 4001))
+        assert np.max(np.abs(coarse.alpha - fine.alpha[::2])) < 1e-9
         assert coarse.nbar[-1] > 1.0  # the ramp really drove the field
 
 
@@ -216,6 +231,18 @@ class TestHelpers:
                 duration=10.0,
                 envelope="gaussian",
             )
+        drive = dict(epsilon=0.1, omega_d=4.75, omega_r_dressed=4.75, kappa=0.05, duration=10.0)
+        for name in ("kappa", "duration", "epsilon"):
+            with pytest.raises(ValueError, match=name):
+                DriveConfig(**{**drive, name: np.nan})
+
+    @pytest.mark.parametrize("duration", [30.0025, 30.013, 100.0])
+    def test_default_grid_ends_at_duration(self, duration):
+        drive = resonant_drive(duration=duration)
+        grid = drive.default_time_grid()
+        assert grid[0] == 0.0
+        assert grid[-1] == duration
+        assert np.max(np.diff(grid)) <= 0.01 + 1e-12
 
     def test_tabulated_times_must_ascend(self):
         # np.interp would silently read a wrong eps(t) from unsorted knots

@@ -253,6 +253,12 @@ class TestPerturbativeCoupling:
         with pytest.raises(ValueError, match="level 1"):
             g_eff_perturbative(cfg, 2, 10.0)
 
+    def test_negative_photon_number_rejected(self, ref_strip):
+        # nbar^(m/2) of a negative nbar is complex; its real part is no magnitude
+        with pytest.raises(ValueError, match="nbar_cross"):
+            g_eff_perturbative(ref_strip, 3, -5.0)
+        assert g_eff_perturbative(ref_strip, 3, 0.0) == 0.0
+
     def test_target_level_bounds(self, ref_strip):
         with pytest.raises(ValueError):
             g_eff_perturbative(ref_strip, 0, 10.0)

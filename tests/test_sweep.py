@@ -237,6 +237,12 @@ class TestSweepConfig:
             ({"epsilon": -0.045}, "epsilon"),
             ({"dt": 0.03}, "does not divide"),
             ({"duration": 50.02}, "does not divide"),
+            ({"kappa": np.nan}, "kappa"),
+            ({"kappa": np.inf}, "kappa"),
+            ({"e_c": np.nan}, "e_c"),
+            ({"omega_r": np.nan}, "omega_r"),
+            ({"epsilon": np.inf}, "epsilon"),
+            ({"delta_grid": [np.nan, 1.0]}, "delta_grid"),
         ],
     )
     def test_rejected_when_built(self, overrides, match, tmp_path):

@@ -41,6 +41,11 @@ class TestChargeHamiltonian:
         with pytest.raises(ValueError, match="charge_cutoff"):
             TransmonParams(e_c=0.2, e_j=8.0, charge_cutoff=5, level_count=10)
 
+    @pytest.mark.parametrize("name", ["e_c", "e_j"])
+    def test_nan_energy_rejected(self, name):
+        with pytest.raises(ValueError, match=name):
+            TransmonParams(**{"e_c": 0.2, "e_j": 8.0, name: np.nan})
+
 
 class TestDiagonalize:
     def test_reference_qubit_frequency(self, ref_ej):
