@@ -2,13 +2,14 @@
 
 The amplitude obeys the linear equation
 
-    d(alpha)/dt = -lam*alpha - i*eps,    lam = i*delta + kappa/2
+    d(alpha)/dt = -lam*alpha - i*eps(t),    lam = i*delta + kappa/2
 
 with delta = 2*pi*(omega_r_dressed - omega_d) and eps = 2*pi*epsilon in
-rad/ns. ``DriveConfig.rate`` is lam and ``_rhs`` the right-hand side. Both
-solvers start from the vacuum, alpha = 0 at t = 0. For a square pulse the
-closed form is exact and is the primary path; fixed-step RK4 exists for
-tabulated envelopes.
+rad/ns; ``DriveConfig.rate`` is lam. The drive switches on at t = 0, where
+alpha = 0. Every envelope is piecewise linear in t (a square pulse is one
+piece), so alpha has a closed form on each piece and ``field_amplitude`` is
+exact for every envelope. ``evolve_field_closed_form`` is the textbook
+square-pulse formula, the reference the pieces are checked against.
 """
 
 from __future__ import annotations
@@ -49,6 +50,10 @@ class DriveConfig:
     envelope: str | tuple[np.ndarray, np.ndarray] = "square"
 
     def __post_init__(self):
+        for name in ("epsilon", "omega_d", "omega_r_dressed", "kappa", "duration"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.kappa > 0:
             raise ValueError(f"kappa must be positive, got {self.kappa}")
         if not self.duration > 0:
@@ -59,10 +64,12 @@ class DriveConfig:
             if self.envelope != "square":
                 raise ValueError(f"unknown envelope {self.envelope!r}")
         else:
-            t, v = self.envelope
+            t, v = (np.asarray(x, float) for x in self.envelope)
             if len(t) != len(v) or len(t) < 2:
                 raise ValueError("tabulated envelope needs matching (t, eps) arrays")
-            if np.any(np.diff(np.asarray(t, float)) <= 0):
+            if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+                raise ValueError("tabulated envelope times and amplitudes must be finite")
+            if np.any(np.diff(t) <= 0):
                 raise ValueError("tabulated envelope times must be strictly ascending")
 
     @property
@@ -103,70 +110,68 @@ class FieldTrajectory:
         write_table(path, header_lines, ["t_ns", "re_alpha", "im_alpha", "nbar"], rows)
 
 
-def _closed_form_alpha(drive: DriveConfig, times: np.ndarray) -> np.ndarray:
-    lam = drive.rate
-    eps_ang = 2 * np.pi * drive.epsilon
-    # + 0.0: alpha(0) is +0 in both components, never a signed zero
-    return (-1j * eps_ang / lam) * (1.0 - np.exp(-lam * times)) + 0.0
-
-
 def evolve_field_closed_form(
     drive: DriveConfig, t_grid: np.ndarray | None = None
 ) -> FieldTrajectory:
-    """Exact solution for a square pulse sampled on ``t_grid``."""
+    """The textbook solution for a square pulse, sampled on ``t_grid``."""
     if drive.envelope != "square":
         raise ValueError("closed form applies to square envelopes only")
     if t_grid is None:
         t_grid = drive.default_time_grid()
     t_grid = np.asarray(t_grid, float)
-    return FieldTrajectory.from_alpha(t_grid, _closed_form_alpha(drive, t_grid))
-
-
-def _rhs(drive: DriveConfig):
-    """The field equation's right-hand side as a function of (t, alpha)."""
     lam = drive.rate
-    if drive.envelope == "square":
-        eps = 2 * np.pi * drive.epsilon
-        return lambda t, a: -lam * a - 1j * eps
-    t_tab, v_tab = drive.envelope
-    t_tab = np.asarray(t_tab, float)
-    v_tab = 2 * np.pi * np.asarray(v_tab, float)
-    return lambda t, a: -lam * a - 1j * np.interp(t, t_tab, v_tab)
-
-
-def evolve_field_numeric(
-    drive: DriveConfig, t_grid: np.ndarray | None = None
-) -> FieldTrajectory:
-    """Fixed-step RK4 integration, for arbitrary envelopes.
-
-    Integrates from alpha = 0 at t = 0 through the ascending ``t_grid``
-    (t >= 0) in substeps of at most min(0.01/kappa, 0.05 ns). Matches the
-    closed form to |d_alpha| < 1e-8 on square pulses.
-    """
-    if t_grid is None:
-        t_grid = drive.default_time_grid()
-    t_grid = np.asarray(t_grid, float)
-    if t_grid[0] < 0 or np.any(np.diff(t_grid) < 0):
-        raise ValueError("t_grid must ascend from t >= 0")
-    step = min(0.01 / drive.kappa, 0.05)
-    rhs = _rhs(drive)
-
-    alpha = np.empty(len(t_grid), dtype=complex)
-    a, t0 = 0j, 0.0
-    for i, t1 in enumerate(t_grid):
-        n_sub = max(1, int(np.ceil((t1 - t0) / step - 1e-12)))
-        h = (t1 - t0) / n_sub
-        t = t0
-        for _ in range(n_sub):
-            k1 = rhs(t, a)
-            k2 = rhs(t + h / 2, a + h / 2 * k1)
-            k3 = rhs(t + h / 2, a + h / 2 * k2)
-            k4 = rhs(t + h, a + h * k3)
-            a = a + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            t += h
-        alpha[i] = a
-        t0 = t1
+    eps_ang = 2 * np.pi * drive.epsilon
+    # + 0.0: alpha(0) is +0 in both components, never a signed zero
+    alpha = (-1j * eps_ang / lam) * (1.0 - np.exp(-lam * t_grid)) + 0.0
     return FieldTrajectory.from_alpha(t_grid, alpha)
+
+
+def _pieces(drive: DriveConfig):
+    """Knots from t = 0, eps (rad/ns) at each and its slope up to the next knot.
+
+    A square pulse is one knot. Past the last knot eps is constant, as ``np.interp`` holds it.
+    """
+    if drive.envelope == "square":
+        return np.zeros(1), [2 * np.pi * drive.epsilon], [0.0]
+    t_tab, v_tab = (np.asarray(x, float) for x in drive.envelope)
+    knots = np.concatenate(([0.0], t_tab[t_tab > 0]))
+    eps = 2 * np.pi * np.interp(knots, t_tab, v_tab)
+    slope = np.append(np.diff(eps) / np.diff(knots), 0.0)
+    return knots, eps.tolist(), slope.tolist()
+
+
+def _along_piece(a0, f, r, lam: complex, tau):
+    e = np.exp(-lam * tau)
+    return a0 * e + f * (1.0 - e) + r * (tau - (1.0 - e) / lam)
+
+
+def field_amplitude(drive: DriveConfig, times: np.ndarray) -> np.ndarray:
+    """Exact alpha at ``times`` >= 0, in any order, for every envelope.
+
+    With tau = t - knots[k] and e = exp(-lam*tau), alpha on piece k is
+    a_k*e + F_k*(1 - e) + R_k*(tau - (1 - e)/lam), F_k = -i*eps_k/lam and
+    R_k = -i*slope_k/lam; a_k is that formula at the end of piece k - 1, a_0 = 0.
+    """
+    times = np.asarray(times, float)
+    if not np.all(times >= 0):
+        raise ValueError("field times must be t >= 0, where time ascends from the switch-on")
+    lam = drive.rate
+    knots, eps, slope = _pieces(drive)
+    # scalar division rounds as the closed form does; numpy's elementwise one does not
+    f = np.array([-1j * e / lam for e in eps])
+    r = np.array([-1j * s / lam for s in slope])
+    a = [0j]
+    for k, h in enumerate(np.diff(knots)):
+        a.append(_along_piece(a[k], f[k], r[k], lam, h))
+    k = np.searchsorted(knots, times, side="right") - 1
+    # + 0.0: alpha(0) is +0 in both components, never a signed zero
+    return _along_piece(np.array(a)[k], f[k], r[k], lam, times - knots[k]) + 0.0
+
+
+def evolve_field_numeric(drive: DriveConfig, t_grid: np.ndarray | None = None) -> FieldTrajectory:
+    """``field_amplitude`` of any envelope sampled on ``t_grid`` (t >= 0)."""
+    t_grid = drive.default_time_grid() if t_grid is None else t_grid
+    return FieldTrajectory.from_alpha(t_grid, field_amplitude(drive, t_grid))
 
 
 def level_crossings(
@@ -186,7 +191,8 @@ def level_crossings(
     i, j = np.nonzero(above[1:] != above[:-1])
     if len(i) == 0:
         return np.empty(0)
-    slope = _rhs(drive)(times, alpha)
+    knots, eps, _ = _pieces(drive)
+    slope = -drive.rate * alpha - 1j * np.interp(times, knots, eps)
     h = times[i + 1] - times[i]
     a0, a1 = alpha[i], alpha[i + 1]
     m0, m1 = h * slope[i], h * slope[i + 1]
@@ -205,11 +211,3 @@ def level_crossings(
         hi = np.where(past, s, hi)
         lo = np.where(past, lo, s)
     return np.sort(times[i] + h * (lo + hi) / 2)
-
-
-def field_amplitude(drive: DriveConfig, times: np.ndarray) -> np.ndarray:
-    """alpha at ``times`` >= 0 (ascending unless the envelope is square)."""
-    times = np.asarray(times, float)
-    if drive.envelope == "square":
-        return _closed_form_alpha(drive, times)
-    return evolve_field_numeric(drive, times).alpha

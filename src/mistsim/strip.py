@@ -55,6 +55,10 @@ class StripConfig:
             raise ValueError("specify exactly one of g, k_eff")
         if self.omega_d is None:
             object.__setattr__(self, "omega_d", self.omega_r)
+        for name in ("omega_r", "omega_d", "g", "k_eff"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.coupling <= 0:
             raise ValueError(f"derived coupling must be positive, got {self.coupling}")
 

@@ -246,7 +246,7 @@ class TestLevelCrossings:
         levels = np.arange(1, 19)
         kinks = level_crossings(drive, grid, field_amplitude(drive, grid), levels)
         assert len(kinks) == len(levels)
-        # the field as the propagator integrates it: one RK4 pass over the edges
+        # the field the propagator samples at the step edges
         edges = _step_edges(grid, kinks)
         nbar = np.abs(field_amplitude(drive, edges)) ** 2
         assert np.max(np.abs(nbar[np.isin(edges, kinks)] - levels)) < 1e-9

@@ -315,6 +315,22 @@ class TestStripConfig:
         with pytest.raises(TypeError):
             StripConfig(eigen=ref_eigen, omega_r=OMEGA_R, g=0.1, level_count=10)
 
+    @pytest.mark.parametrize(
+        "settings, name",
+        [
+            (dict(omega_r=np.nan, k_eff=K_EFF), "omega_r"),
+            (dict(omega_r=OMEGA_R, omega_d=np.nan, g=0.1), "omega_d"),
+            (dict(omega_r=OMEGA_R, omega_d=np.inf, g=0.1), "omega_d"),
+            (dict(omega_r=OMEGA_R, g=np.nan), "g"),
+            (dict(omega_r=OMEGA_R, k_eff=np.inf), "k_eff"),
+        ],
+        ids=["omega_r-nan", "omega_d-nan", "omega_d-inf", "g-nan", "k_eff-inf"],
+    )
+    def test_non_finite_setting_rejected(self, ref_eigen, settings, name):
+        # nan <= 0 is False, so a NaN coupling used to pass the positivity check
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            StripConfig(eigen=ref_eigen, **settings)
+
     def test_omega_d_defaults_to_omega_r(self, ref_eigen):
         cfg = StripConfig(eigen=ref_eigen, omega_r=OMEGA_R, g=0.1)
         assert cfg.omega_d == OMEGA_R
