@@ -33,22 +33,22 @@ class _JsonErrorParser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _add_physics_flags(parser: argparse.ArgumentParser) -> None:
+def _add_physics_flags(parser: argparse.ArgumentParser, drive: bool = False) -> None:
+    """--config, transmon, resonator and coupling flags; ``drive`` adds drive and step flags."""
     parser.add_argument("--config", help="JSON config file; flags override its keys")
     parser.add_argument("--e-c", dest="e_c", type=float)
     parser.add_argument("--k-eff", dest="k_eff", type=float)
     parser.add_argument("--g", dest="g", type=float)
     parser.add_argument("--omega-r", dest="omega_r", type=float)
-    parser.add_argument("--omega-d", dest="omega_d", type=float)
-    parser.add_argument("--kappa", dest="kappa", type=float)
-    parser.add_argument("--epsilon", dest="epsilon", type=float)
-    parser.add_argument("--duration", dest="duration", type=float)
     parser.add_argument("--levels", dest="level_count", type=int)
     parser.add_argument("--cutoff", dest="charge_cutoff", type=int)
-    parser.add_argument("--dt", dest="dt", type=float)
-    parser.add_argument("--stride", dest="sample_stride", type=int)
-    parser.add_argument("--threshold", dest="threshold", type=float)
-    parser.add_argument("--nbar-step", dest="nbar_step", type=float)
+    if drive:
+        parser.add_argument("--omega-d", dest="omega_d", type=float)
+        parser.add_argument("--kappa", dest="kappa", type=float)
+        parser.add_argument("--epsilon", dest="epsilon", type=float)
+        parser.add_argument("--duration", dest="duration", type=float)
+        parser.add_argument("--dt", dest="dt", type=float)
+        parser.add_argument("--stride", dest="sample_stride", type=int)
 
 
 def _build_config(args) -> SweepConfig:
@@ -187,7 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sweep", help="detuning x offset-charge x state sweep")
-    _add_physics_flags(p)
+    _add_physics_flags(p, drive=True)
+    p.add_argument("--threshold", dest="threshold", type=float)
+    p.add_argument("--nbar-step", dest="nbar_step", type=float)
     p.add_argument("--delta-grid", dest="delta_grid", type=float, nargs="+")
     p.add_argument("--ng-grid", dest="n_g_grid", type=float, nargs="+")
     p.add_argument("--states", dest="initial_states", type=int, nargs="+")
@@ -207,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fan)
 
     p = sub.add_parser("trace", help="single simulation populations")
-    _add_physics_flags(p)
+    _add_physics_flags(p, drive=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--ng", type=float, default=0.0)
     p.add_argument("--state", type=int, default=0)

@@ -5,6 +5,7 @@ E_k - k*omega_r in the rotating frame, and adjacent levels are coupled by the
 field with bond strength Re(sqrt(nbar - k)) * g_{k,k+1}. The sqrt cutoff turns
 the interaction off when nbar < k, which makes the strip spectrum coincide
 exactly with the full qubit-resonator ladder at fixed total excitation number.
+That spectrum does not depend on the drive frequency, so the strip holds none.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ TIE_TOL = 1e-6
 
 @dataclass(frozen=True)
 class StripConfig:
-    """Strip model inputs: transmon eigen data plus resonator/drive frequencies.
+    """Strip model inputs: transmon eigen data and omega_r, no drive frequency.
 
     Exactly one of ``g`` (GHz) or ``k_eff`` (dimensionless efficiency) sets the
     coupling; with k_eff the strength is g = k_eff * sqrt(omega_q * omega_r)/2.
@@ -46,16 +47,13 @@ class StripConfig:
 
     eigen: TransmonEigen
     omega_r: float
-    omega_d: float | None = None
     g: float | None = None
     k_eff: float | None = None
 
     def __post_init__(self):
         if (self.g is None) == (self.k_eff is None):
             raise ValueError("specify exactly one of g, k_eff")
-        if self.omega_d is None:
-            object.__setattr__(self, "omega_d", self.omega_r)
-        for name in ("omega_r", "omega_d", "g", "k_eff"):
+        for name in ("omega_r", "g", "k_eff"):
             value = getattr(self, name)
             if value is not None and not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -125,15 +123,16 @@ def bond_amplitudes(config: StripConfig, nbar) -> np.ndarray:
     return root * (config.eigen.couplings * config.coupling)
 
 
-def bond_phase(config: StripConfig, alpha, mag, t) -> np.ndarray:
+def bond_phase(config: StripConfig, omega_d: float, alpha, mag, t) -> np.ndarray:
     """Bond phase u(t) = (alpha/|alpha|) * exp(i*2*pi*(omega_r - omega_d)*t).
 
-    ``mag`` is |alpha| as the caller computed it (|alpha| or sqrt(nbar)), so
-    the phase rounds exactly as the stack it belongs to; u = 1 where it is 0.
+    ``alpha`` is the field of a drive at ``omega_d`` (GHz). ``mag`` is |alpha|
+    as the caller computed it (|alpha| or sqrt(nbar)), so the phase rounds
+    exactly as the stack it belongs to; u = 1 where it is 0.
     """
     live = np.greater(mag, 0)
     unit = np.where(live, alpha / np.where(live, mag, 1.0), 1.0)
-    theta = 2 * np.pi * (config.omega_r - config.omega_d)
+    theta = 2 * np.pi * (config.omega_r - omega_d)
     return unit * np.exp(1j * theta * t)
 
 
@@ -154,14 +153,15 @@ def tridiagonal_stack(diag: np.ndarray, bonds: np.ndarray) -> np.ndarray:
     return h
 
 
-def effective_hamiltonian(config: StripConfig, alpha: complex, t: float = 0.0) -> np.ndarray:
-    """K x K Hermitian matrix (GHz) of the field-driven strip.
+def effective_hamiltonian(config: StripConfig, alpha: complex) -> np.ndarray:
+    """K x K Hermitian matrix (GHz) of the strip under the field ``alpha``.
 
-    The off-diagonal carries the field phase ``bond_phase``; at alpha = 0 the
-    interaction vanishes identically.
+    ``alpha`` is in the resonator frame, alpha(t) * exp(i*2*pi*(omega_r -
+    omega_d)*t) for a drive at omega_d; the off-diagonal carries its phase,
+    and at alpha = 0 the interaction vanishes identically.
     """
     mag = abs(alpha)
-    bonds = bond_phase(config, alpha, mag, t) * bond_amplitudes(config, mag**2)
+    bonds = bond_phase(config, config.omega_r, alpha, mag, 0.0) * bond_amplitudes(config, mag**2)
     return tridiagonal_stack(config.rotating_diagonal, bonds[None])[0]
 
 
@@ -170,7 +170,7 @@ def jtc_strip_hamiltonian(config: StripConfig, n_total: int) -> np.ndarray:
 
     Basis |k, N-k> for k = 0..min(K-1, N) with the constant N*omega_r offset
     removed; eigenvalues equal those of ``effective_hamiltonian`` at
-    |alpha|^2 = N, omega_d = omega_r, up to the decoupled bare levels k > N.
+    |alpha|^2 = N, up to the decoupled bare levels k > N.
     """
     if n_total < 0:
         raise ValueError(f"n_total must be >= 0, got {n_total}")
@@ -292,6 +292,9 @@ def find_avoided_crossings(
     Only interior minima are reported; the refined gap must fall inside
     [min_gap, max_gap]. The half-gap is reported as the effective coupling.
     """
+    # a NaN bound or an inverted window would silently report no crossing
+    if not min_gap <= max_gap:
+        raise ValueError(f"need min_gap <= max_gap, got min_gap={min_gap}, max_gap={max_gap}")
     if len(spectrum.nbar_grid) < 3:
         raise ValueError("need at least 3 grid points to locate crossings")
     x = spectrum.nbar_grid

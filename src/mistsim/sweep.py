@@ -38,7 +38,7 @@ from .dynamics import (
 from .field import DriveConfig, field_amplitude
 from .output import provenance, write_json, write_table
 from .strip import StripConfig, effective_hamiltonian, jtc_strip_hamiltonian
-from .transmon import TransmonParams, diagonalize, ej_for_frequency
+from .transmon import TransmonParams, _check_integer, diagonalize, ej_for_frequency
 
 __all__ = [
     "SweepConfig",
@@ -126,7 +126,8 @@ class SweepConfig:
                 f"nbar(t) is not monotone: the drive at omega_d = {drive.omega_d} "
                 f"GHz is detuned from omega_r_dressed = {drive.omega_r_dressed} GHz"
             )
-        if self.workers is None or self.workers < 1:
+        _check_integer("workers", self.workers)
+        if self.workers < 1:
             raise ValueError(f"worker count must be >= 1, got {self.workers}")
 
     def drive(self) -> DriveConfig:
@@ -367,7 +368,6 @@ def strip_for_detuning(config: SweepConfig, delta: float, n_g: float) -> StripCo
     return StripConfig(
         eigen=diagonalize(params),
         omega_r=config.omega_r,
-        omega_d=config.omega_d,
         g=config.g,
         k_eff=config.k_eff,
     )

@@ -26,6 +26,12 @@ __all__ = [
 DEGENERACY_TOL = 1e-12
 
 
+def _check_integer(name: str, value) -> None:
+    """Reject a count that is not an int or numpy integer; ``bool`` is no count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _wrap_offset_charge(n_g: float) -> float:
     """Wrap to the canonical window [-0.5, 0.5]; all spectra are 1-periodic."""
     return float(n_g - round(n_g))
@@ -60,6 +66,9 @@ class TransmonParams:
             raise ValueError(f"e_c must be positive, got {self.e_c}")
         if not self.e_j >= 0:
             raise ValueError(f"e_j must be non-negative, got {self.e_j}")
+        # a fractional cutoff shifts the charge basis, which acts as an offset charge
+        _check_integer("charge_cutoff", self.charge_cutoff)
+        _check_integer("level_count", self.level_count)
         if self.level_count < 2:
             raise ValueError(f"level_count must be >= 2, got {self.level_count}")
         if self.charge_cutoff < self.level_count:
@@ -67,6 +76,8 @@ class TransmonParams:
                 f"charge_cutoff ({self.charge_cutoff}) too small for "
                 f"level_count ({self.level_count})"
             )
+        if not np.isfinite(self.n_g):
+            raise ValueError(f"n_g must be finite, got {self.n_g}")
         object.__setattr__(self, "n_g", _wrap_offset_charge(self.n_g))
 
 
@@ -183,8 +194,8 @@ def ej_for_frequency(
     """
     if e_c <= 0:
         raise ValueError(f"e_c must be positive, got {e_c}")
-    if target_omega_q <= 0:
-        raise ValueError(f"target frequency must be positive, got {target_omega_q}")
+    if not 0 < target_omega_q < np.inf:
+        raise ValueError(f"target frequency must be positive and finite, got {target_omega_q}")
 
     def freq_error(e_j: float) -> float:
         p = TransmonParams(e_c=e_c, e_j=e_j, charge_cutoff=charge_cutoff, level_count=2)

@@ -255,15 +255,61 @@ class TestErrorHandling:
             (["fan", "--nbar-grid-step", "-0.25"], "--nbar-grid-step must be positive, got -0.25"),
             (["fan", "--nbar-max", "-1"], "--nbar-max must be >= 0, got -1.0"),
             (["oracle-check", "--n-max", "-1"], "n_max must be >= 0, got -1"),
+            (["fan", "--ng", "nan"], "n_g must be finite, got nan"),
+            (["oracle-check", "--ng-values", "nan"], "n_g must be finite, got nan"),
+            (["trace", "--ng", "inf"], "n_g must be finite, got inf"),
+            (["fan", "--delta", "nan"], "target frequency must be positive and finite, got nan"),
+            (["calibrate", "--delta", "nan"], "target frequency must be positive and finite, got nan"),
+            (["fan", "--min-gap", "nan"], "need min_gap <= max_gap, got min_gap=nan, max_gap=0.2"),
+            (["fan", "--max-gap", "nan"], "need min_gap <= max_gap, got min_gap=0.0001, max_gap=nan"),
+            (
+                ["fan", "--min-gap", "0.1", "--max-gap", "0.01"],
+                "need min_gap <= max_gap, got min_gap=0.1, max_gap=0.01",
+            ),
         ],
-        ids=["fan-step-zero", "fan-step-negative", "fan-max-negative", "oracle-n-max-negative"],
+        ids=[
+            "fan-step-zero",
+            "fan-step-negative",
+            "fan-max-negative",
+            "oracle-n-max-negative",
+            "fan-ng-nan",
+            "oracle-ng-nan",
+            "trace-ng-inf",
+            "fan-delta-nan",
+            "calibrate-delta-nan",
+            "fan-min-gap-nan",
+            "fan-max-gap-nan",
+            "fan-gap-window-inverted",
+        ],
     )
     def test_bad_number_is_named(self, capsys, tmp_path, argv, detail):
-        code, _, err = run_cli(capsys, *argv, "--delta", "1.1", "--out", str(tmp_path / "o"))
+        # a --delta in argv comes later, so it overrides the default 1.1
+        command, *rest = argv
+        out = tmp_path / "o"
+        code, _, err = run_cli(capsys, command, "--delta", "1.1", *rest, "--out", str(out))
         assert code == 1
         record = json.loads(err)
         assert record == {"error": "ValueError", "detail": detail}
-        assert not (tmp_path / "o").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            (command, flag, value)
+            for command in ("fan", "calibrate", "oracle-check")
+            for flag, value in (("--kappa", "0.1"), ("--omega-d", "4.745"), ("--dt", "0.025"))
+        ]
+        + [("trace", "--threshold", "0.5")],
+    )
+    def test_drive_flags_are_propagation_flags_only(self, capsys, tmp_path, command, flag, value):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--delta", "1.1", "--out", str(out), flag, value])
+        assert exc.value.code == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "usage"
+        assert flag in record["detail"]
+        assert not out.exists()
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:

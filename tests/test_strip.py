@@ -9,6 +9,7 @@ from mistsim.strip import (
     SpectrumResult,
     StripConfig,
     bond_amplitudes,
+    bond_phase,
     effective_hamiltonian,
     fan_diagram,
     find_avoided_crossings,
@@ -45,31 +46,32 @@ class TestEffectiveHamiltonian:
     def test_resonant_frame_is_time_independent(self, ref_strip):
         alpha = 2.0 - 1.3j
         assert np.array_equal(
-            effective_hamiltonian(ref_strip, alpha, t=0.0),
-            effective_hamiltonian(ref_strip, alpha, t=17.3),
+            bond_phase(ref_strip, OMEGA_R, alpha, abs(alpha), 0.0),
+            bond_phase(ref_strip, OMEGA_R, alpha, abs(alpha), 17.3),
         )
 
-    def test_detuned_frame_rotates(self, ref_eigen):
-        cfg = StripConfig(eigen=ref_eigen, omega_r=OMEGA_R, omega_d=OMEGA_R - 0.01, k_eff=K_EFF)
-        h0 = effective_hamiltonian(cfg, 2.0, t=0.0)
-        h1 = effective_hamiltonian(cfg, 2.0, t=10.0)
+    def test_detuned_frame_rotates(self, ref_strip):
+        # the resonator-frame amplitude of a drive 10 MHz below omega_r
+        units = (bond_phase(ref_strip, OMEGA_R - 0.01, 2.0, 2.0, t) for t in (0.0, 10.0))
+        h0, h1 = (effective_hamiltonian(ref_strip, 2.0 * u) for u in units)
         assert not np.allclose(h0, h1)
         assert np.allclose(np.diag(h0), np.diag(h1))
 
-    def test_bond_phase_is_field_phase_plus_detuning_winding(self, ref_eigen):
+    def test_bond_phase_is_field_phase_plus_detuning_winding(self, ref_strip):
         # h[k, k+1] = |bond_k| * (alpha/|alpha|) * exp(+i*2*pi*(omega_r - omega_d)*t)
-        cfg = StripConfig(eigen=ref_eigen, omega_r=OMEGA_R, omega_d=OMEGA_R - 0.01, k_eff=K_EFF)
         alpha, t = 5.0 * np.exp(0.4j), 10.0  # nbar = 25 keeps every bond open
-        k = np.arange(cfg.level_count - 1)
-        magnitude = effective_hamiltonian(cfg, abs(alpha))[k, k + 1]
+        k = np.arange(ref_strip.level_count - 1)
+        magnitude = effective_hamiltonian(ref_strip, abs(alpha))[k, k + 1]
         assert np.all(magnitude.real > 0) and np.all(magnitude.imag == 0)
         phase = np.exp(1j * (0.4 + 2 * np.pi * 0.01 * t))
-        h = effective_hamiltonian(cfg, alpha, t=t)
+        unit = bond_phase(ref_strip, OMEGA_R - 0.01, alpha, abs(alpha), t)
+        assert np.isclose(unit, phase, rtol=1e-12, atol=0)
+        h = effective_hamiltonian(ref_strip, abs(alpha) * unit)
         assert np.allclose(h[k, k + 1], phase * magnitude, rtol=1e-12, atol=0)
         assert np.allclose(h[k + 1, k], np.conj(phase) * magnitude, rtol=1e-12, atol=0)
 
     def test_hermitian(self, ref_strip):
-        h = effective_hamiltonian(ref_strip, 1.7 * np.exp(0.6j), t=3.0)
+        h = effective_hamiltonian(ref_strip, 1.7 * np.exp(0.6j))
         assert np.allclose(h, h.conj().T, atol=0)
 
     def test_spectrum_independent_of_field_phase(self, ref_strip):
@@ -206,6 +208,16 @@ class TestAvoidedCrossings:
         assert 0.0 < nbar[3] < 1.0
         assert json.loads(json.dumps([r.to_dict() for r in records]))[2]["branch_b"] == 2
 
+    @pytest.mark.parametrize(
+        "min_gap, max_gap",
+        [(np.nan, 0.2), (1e-4, np.nan), (0.1, 0.01)],
+        ids=["min-nan", "max-nan", "inverted"],
+    )
+    def test_malformed_window_rejected(self, ref_fan, min_gap, max_gap):
+        # each of these used to report no crossing at all
+        with pytest.raises(ValueError, match="min_gap <= max_gap"):
+            find_avoided_crossings(ref_fan, min_gap=min_gap, max_gap=max_gap)
+
     def test_parallel_branches_yield_nothing(self):
         grid = np.arange(0.0, 10.0 + 1e-9, 0.5)
         branches = np.vstack([0.1 * grid, 0.1 * grid + 1.0])
@@ -319,21 +331,15 @@ class TestStripConfig:
         "settings, name",
         [
             (dict(omega_r=np.nan, k_eff=K_EFF), "omega_r"),
-            (dict(omega_r=OMEGA_R, omega_d=np.nan, g=0.1), "omega_d"),
-            (dict(omega_r=OMEGA_R, omega_d=np.inf, g=0.1), "omega_d"),
             (dict(omega_r=OMEGA_R, g=np.nan), "g"),
             (dict(omega_r=OMEGA_R, k_eff=np.inf), "k_eff"),
         ],
-        ids=["omega_r-nan", "omega_d-nan", "omega_d-inf", "g-nan", "k_eff-inf"],
+        ids=["omega_r-nan", "g-nan", "k_eff-inf"],
     )
     def test_non_finite_setting_rejected(self, ref_eigen, settings, name):
         # nan <= 0 is False, so a NaN coupling used to pass the positivity check
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             StripConfig(eigen=ref_eigen, **settings)
-
-    def test_omega_d_defaults_to_omega_r(self, ref_eigen):
-        cfg = StripConfig(eigen=ref_eigen, omega_r=OMEGA_R, g=0.1)
-        assert cfg.omega_d == OMEGA_R
 
     def test_crossing_record_serialization(self):
         rec = CrossingRecord(0, 9, 39.6, 0.025, 0.0125)

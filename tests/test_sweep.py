@@ -243,6 +243,12 @@ class TestSweepConfig:
             ({"omega_r": np.nan}, "omega_r"),
             ({"epsilon": np.inf}, "epsilon"),
             ({"delta_grid": [np.nan, 1.0]}, "delta_grid"),
+            ({"charge_cutoff": 30.5}, "charge_cutoff must be an integer"),
+            ({"level_count": 20.5}, "level_count must be an integer"),
+            ({"initial_states": [0.5]}, "initial_state must be an integer"),
+            ({"sample_stride": 2.5}, "sample_stride must be an integer"),
+            ({"workers": 1.5}, "workers must be an integer"),
+            ({"workers": True}, "workers must be an integer"),
         ],
     )
     def test_rejected_when_built(self, overrides, match, tmp_path):

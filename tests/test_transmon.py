@@ -46,6 +46,25 @@ class TestChargeHamiltonian:
         with pytest.raises(ValueError, match=name):
             TransmonParams(**{"e_c": 0.2, "e_j": 8.0, name: np.nan})
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("charge_cutoff", 30.5), ("charge_cutoff", True), ("level_count", 20.5), ("level_count", True)],
+    )
+    def test_counts_must_be_integers(self, name, value):
+        # cutoff 30.5 silently built the charge basis of the n_g = 0.5 transmon
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value}"):
+            TransmonParams(**{"e_c": 0.2, "e_j": 8.0, name: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        p = TransmonParams(e_c=0.2, e_j=8.0, charge_cutoff=np.int64(30), level_count=np.int32(5))
+        assert diagonalize(p).level_count == 5
+
+    @pytest.mark.parametrize("n_g", [np.nan, np.inf, -np.inf])
+    def test_non_finite_offset_charge_rejected(self, n_g):
+        # the wrap used to fail first, with a message that named no setting
+        with pytest.raises(ValueError, match=f"n_g must be finite, got {n_g}"):
+            TransmonParams(e_c=0.2, e_j=8.0, n_g=n_g)
+
 
 class TestDiagonalize:
     def test_reference_qubit_frequency(self, ref_ej):
@@ -166,6 +185,12 @@ class TestEjForFrequency:
             ej_for_frequency(-0.1, 5.0)
         with pytest.raises(ValueError):
             ej_for_frequency(0.2, -5.0)
+
+    @pytest.mark.parametrize("target", [np.nan, np.inf])
+    def test_non_finite_target_rejected(self, target):
+        # NaN passed `target <= 0` and failed later, in an error naming e_j
+        with pytest.raises(ValueError, match=f"positive and finite, got {target}"):
+            ej_for_frequency(E_C, target)
 
 
 class TestChargeDispersion:
