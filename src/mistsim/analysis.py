@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dynamics import SurvivalCurve
+from .transmon import _check_finite
 
 __all__ = [
     "DispersiveParams",
@@ -65,6 +66,7 @@ def dressed_frequencies(p: DispersiveParams) -> tuple[float, float]:
 
 def stark_to_photons(freq_shift: float, chi_value: float) -> float:
     """Photon number from the linear qubit-frequency pull, shift/(2*chi)."""
+    _check_finite("freq_shift", freq_shift)
     if chi_value <= 0:
         raise ValueError("chi must be positive")
     if freq_shift < 0:

@@ -21,7 +21,7 @@ from .field import evolve_field_closed_form
 from .output import json_text, provenance, write_json
 from .strip import fan_diagram, find_avoided_crossings, g_eff_perturbative
 from .sweep import SweepConfig, config_hash, run_oracle_check, run_sweep, strip_for_detuning
-from .transmon import k_bend
+from .transmon import _check_finite, k_bend
 
 CONFIG_KEYS = [f.name for f in dataclasses.fields(SweepConfig)]
 
@@ -89,6 +89,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_fan(args) -> int:
     if not args.nbar_grid_step > 0:
         raise ValueError(f"--nbar-grid-step must be positive, got {args.nbar_grid_step}")
+    _check_finite("--nbar-max", args.nbar_max)
     if args.nbar_max < 0:
         raise ValueError(f"--nbar-max must be >= 0, got {args.nbar_max}")
     config = _build_config(args)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .output import write_table
+from .transmon import _check_finite
 
 __all__ = [
     "DriveConfig",
@@ -51,9 +52,7 @@ class DriveConfig:
 
     def __post_init__(self):
         for name in ("epsilon", "omega_d", "omega_r_dressed", "kappa", "duration"):
-            value = getattr(self, name)
-            if not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            _check_finite(name, getattr(self, name))
         if not self.kappa > 0:
             raise ValueError(f"kappa must be positive, got {self.kappa}")
         if not self.duration > 0:
@@ -67,8 +66,8 @@ class DriveConfig:
             t, v = (np.asarray(x, float) for x in self.envelope)
             if len(t) != len(v) or len(t) < 2:
                 raise ValueError("tabulated envelope needs matching (t, eps) arrays")
-            if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
-                raise ValueError("tabulated envelope times and amplitudes must be finite")
+            _check_finite("tabulated envelope times", t)
+            _check_finite("tabulated envelope amplitudes", v)
             if np.any(np.diff(t) <= 0):
                 raise ValueError("tabulated envelope times must be strictly ascending")
 

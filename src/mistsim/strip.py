@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .output import write_table
-from .transmon import TransmonEigen
+from .transmon import TransmonEigen, _check_finite
 
 __all__ = [
     "StripConfig",
@@ -37,6 +37,16 @@ __all__ = [
 TIE_TOL = 1e-6
 
 
+def _check_coupling(g: float | None, k_eff: float | None) -> None:
+    """Exactly one of ``g`` and ``k_eff`` sets the coupling; it must be finite and positive."""
+    if (g is None) == (k_eff is None):
+        raise ValueError("specify exactly one of g, k_eff")
+    name, value = ("g", g) if g is not None else ("k_eff", k_eff)
+    _check_finite(name, value)
+    if not value > 0:
+        raise ValueError(f"g or k_eff must be positive, got {value}")
+
+
 @dataclass(frozen=True)
 class StripConfig:
     """Strip model inputs: transmon eigen data and omega_r, no drive frequency.
@@ -51,13 +61,11 @@ class StripConfig:
     k_eff: float | None = None
 
     def __post_init__(self):
-        if (self.g is None) == (self.k_eff is None):
-            raise ValueError("specify exactly one of g, k_eff")
-        for name in ("omega_r", "g", "k_eff"):
-            value = getattr(self, name)
-            if value is not None and not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.coupling <= 0:
+        _check_finite("omega_r", self.omega_r)
+        if not self.omega_r > 0:
+            raise ValueError(f"omega_r must be positive, got {self.omega_r}")
+        _check_coupling(self.g, self.k_eff)
+        if not self.coupling > 0:
             raise ValueError(f"derived coupling must be positive, got {self.coupling}")
 
     @property
@@ -194,7 +202,8 @@ def match_branches(prev_vecs: np.ndarray, cur_vecs: np.ndarray) -> tuple[np.ndar
     ``prev_vecs`` columns are branch-ordered; ``cur_vecs`` columns are in
     eigenvalue order. Returns (columns, low_overlap, ambiguous) where
     ``columns[branch]`` indexes into cur_vecs, ``low_overlap`` marks a best
-    overlap below 0.5 and ``ambiguous`` a greedy tie within ``TIE_TOL``.
+    overlap below 0.5 and ``ambiguous`` a greedy pick with a rival within
+    ``TIE_TOL`` in its row or column.
     """
     overlap = np.abs(prev_vecs.conj().T @ cur_vecs)
     n = overlap.shape[0]
@@ -215,9 +224,10 @@ def match_branches(prev_vecs: np.ndarray, cur_vecs: np.ndarray) -> tuple[np.ndar
     for _ in range(n):
         m = work.max()
         candidates = np.argwhere(work >= m - TIE_TOL)
-        if len(candidates) > 1:
-            ambiguous = True
         row, col = candidates[0]
+        # a near-tie in another row and column cannot change the assignment
+        if np.count_nonzero((candidates[:, 0] == row) | (candidates[:, 1] == col)) > 1:
+            ambiguous = True
         columns[row] = col
         if m < 0.5:
             low_overlap = True

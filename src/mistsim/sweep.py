@@ -37,8 +37,8 @@ from .dynamics import (
 )
 from .field import DriveConfig, field_amplitude
 from .output import provenance, write_json, write_table
-from .strip import StripConfig, effective_hamiltonian, jtc_strip_hamiltonian
-from .transmon import TransmonParams, _check_integer, diagonalize, ej_for_frequency
+from .strip import StripConfig, _check_coupling, effective_hamiltonian, jtc_strip_hamiltonian
+from .transmon import TransmonParams, _check_finite, _check_integer, diagonalize, ej_for_frequency
 
 __all__ = [
     "SweepConfig",
@@ -49,10 +49,8 @@ __all__ = [
     "strip_for_detuning",
 ]
 
-_FLOAT_SETTINGS = (
-    "e_c", "k_eff", "g", "omega_r", "omega_d", "omega_r_dressed", "kappa", "epsilon",
-    "duration", "delta_grid", "n_g_grid", "dt", "threshold", "nbar_step",
-)
+# the float settings that no part of a member checks
+_FLOAT_SETTINGS = ("omega_r", "delta_grid", "n_g_grid", "dt", "threshold", "nbar_step")
 
 
 def _default_delta_grid() -> list[float]:
@@ -91,14 +89,11 @@ class SweepConfig:
     def __post_init__(self):
         # NaN or inf passes some range checks below and fails deep in a sweep
         for name in _FLOAT_SETTINGS:
-            value = getattr(self, name)
-            if value is not None and not np.all(np.isfinite(value)):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if (self.g is None) == (self.k_eff is None):
-            raise ValueError("specify exactly one of g, k_eff")
-        coupling = self.g if self.g is not None else self.k_eff
-        if not coupling > 0:
-            raise ValueError(f"g or k_eff must be positive, got {coupling}")
+            _check_finite(name, getattr(self, name))
+        # before the drive, whose omega_d defaults to omega_r
+        if not self.omega_r > 0:
+            raise ValueError(f"omega_r must be positive, got {self.omega_r}")
+        _check_coupling(self.g, self.k_eff)
         # the transmon's own checks, without solving for E_J
         TransmonParams(self.e_c, 0.0, 0.0, self.charge_cutoff, self.level_count)
         if len(self.delta_grid) == 0 or len(self.n_g_grid) == 0 or len(self.initial_states) == 0:
@@ -111,14 +106,14 @@ class SweepConfig:
             raise ValueError(f"threshold must be in (0, 1), got {self.threshold}")
         if len(set(self.initial_states)) != len(self.initial_states):
             raise ValueError(f"initial_states must not repeat, got {self.initial_states}")
-        for state in self.initial_states:
-            _check_state(state, self.level_count)
+        states = [_check_state(state, self.level_count) for state in self.initial_states]
+        # the drive's own checks name a non-finite duration before round() sees it
+        drive = self.drive()
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         _check_step(self.dt, self.sample_stride, self.duration)
         # survival is read against nbar(t), which needs a monotone ring-up; a
         # drive detuned from the dressed resonator rings up and back down
-        drive = self.drive()
         t_s = _sample_times(self.duration, self.dt, self.sample_stride)
         nbar = np.abs(field_amplitude(drive, t_s)) ** 2
         if np.any(np.diff(nbar) < -1e-12):
@@ -129,6 +124,12 @@ class SweepConfig:
         _check_integer("workers", self.workers)
         if self.workers < 1:
             raise ValueError(f"worker count must be >= 1, got {self.workers}")
+        # plain values: numpy ones would fail json.dumps in config_hash and to_json
+        self.delta_grid = [float(delta) for delta in self.delta_grid]
+        self.n_g_grid = [float(n_g) for n_g in self.n_g_grid]
+        self.initial_states = states
+        for name in ("level_count", "charge_cutoff", "sample_stride", "workers"):
+            setattr(self, name, int(getattr(self, name)))
 
     def drive(self) -> DriveConfig:
         """The drive; ``omega_d`` defaults to omega_r, ``omega_r_dressed`` to omega_d."""
@@ -404,6 +405,9 @@ def run_oracle_check(
         n_max = 3 * config.level_count
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
+    # no charge would mean no comparison, and "passed" would claim one
+    if len(n_g_values) == 0:
+        raise ValueError("n_g_values must be non-empty")
     per_ng = {}
     worst = 0.0
     for n_g in n_g_values:

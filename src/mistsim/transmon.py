@@ -32,6 +32,15 @@ def _check_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_finite(name: str, value) -> None:
+    """Reject a NaN or infinite setting, or a sequence holding one.
+
+    Range checks written as ``x <= 0`` are False for NaN, so this comes first.
+    """
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _wrap_offset_charge(n_g: float) -> float:
     """Wrap to the canonical window [-0.5, 0.5]; all spectra are 1-periodic."""
     return float(n_g - round(n_g))
@@ -62,6 +71,8 @@ class TransmonParams:
     level_count: int = 20
 
     def __post_init__(self):
+        for name in ("e_c", "e_j", "n_g"):
+            _check_finite(name, getattr(self, name))
         if not self.e_c > 0:
             raise ValueError(f"e_c must be positive, got {self.e_c}")
         if not self.e_j >= 0:
@@ -76,8 +87,6 @@ class TransmonParams:
                 f"charge_cutoff ({self.charge_cutoff}) too small for "
                 f"level_count ({self.level_count})"
             )
-        if not np.isfinite(self.n_g):
-            raise ValueError(f"n_g must be finite, got {self.n_g}")
         object.__setattr__(self, "n_g", _wrap_offset_charge(self.n_g))
 
 
@@ -192,14 +201,12 @@ def ej_for_frequency(
     E_J ~ (target + E_C)^2 / (8 E_C); the 0-1 frequency is monotone in E_J, so
     the root is unique. Converged to better than 1 kHz on the frequency.
     """
-    if e_c <= 0:
-        raise ValueError(f"e_c must be positive, got {e_c}")
+    params = TransmonParams(e_c=e_c, e_j=0.0, charge_cutoff=charge_cutoff, level_count=2)
     if not 0 < target_omega_q < np.inf:
         raise ValueError(f"target frequency must be positive and finite, got {target_omega_q}")
 
     def freq_error(e_j: float) -> float:
-        p = TransmonParams(e_c=e_c, e_j=e_j, charge_cutoff=charge_cutoff, level_count=2)
-        evals, _ = _eigensystem(p)
+        evals, _ = _eigensystem(replace(params, e_j=e_j))
         return (evals[1] - evals[0]) - target_omega_q
 
     seed = (target_omega_q + e_c) ** 2 / (8.0 * e_c)

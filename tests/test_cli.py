@@ -266,6 +266,15 @@ class TestErrorHandling:
                 ["fan", "--min-gap", "0.1", "--max-gap", "0.01"],
                 "need min_gap <= max_gap, got min_gap=0.1, max_gap=0.01",
             ),
+            (["calibrate", "--stark-shift", "nan"], "freq_shift must be finite, got nan"),
+            (["calibrate", "--stark-shift", "inf"], "freq_shift must be finite, got inf"),
+            (["calibrate", "--omega-r", "-1.0", "--delta", "6.0"], "omega_r must be positive, got -1.0"),
+            (
+                ["calibrate", "--omega-r", "-1.0", "--delta", "6.0", "--g", "0.1"],
+                "omega_r must be positive, got -1.0",
+            ),
+            (["fan", "--nbar-max", "nan"], "--nbar-max must be finite, got nan"),
+            (["fan", "--nbar-max", "inf"], "--nbar-max must be finite, got inf"),
         ],
         ids=[
             "fan-step-zero",
@@ -280,6 +289,12 @@ class TestErrorHandling:
             "fan-min-gap-nan",
             "fan-max-gap-nan",
             "fan-gap-window-inverted",
+            "calibrate-stark-nan",
+            "calibrate-stark-inf",
+            "calibrate-omega-r-negative",
+            "calibrate-omega-r-negative-g",
+            "fan-max-nan",
+            "fan-max-inf",
         ],
     )
     def test_bad_number_is_named(self, capsys, tmp_path, argv, detail):

@@ -7,6 +7,8 @@ which pin the ``.12g`` number format, the column rows and the JSON layout.
 
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,3 +187,22 @@ def _modules():
 def test_every_exported_name_resolves(module):
     missing = [name for name in getattr(module, "__all__", []) if not hasattr(module, name)]
     assert missing == []
+
+
+SCIENCE_MODULES = ("transmon", "field", "strip", "dynamics", "analysis", "sweep")
+
+
+def test_package_exports_each_module_list():
+    modules = [importlib.import_module(f"mistsim.{name}") for name in SCIENCE_MODULES]
+    assert mistsim.__all__ == ["__version__", *(n for m in modules for n in m.__all__)]
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(mistsim, name) is getattr(module, name)
+
+
+def test_readme_quick_start_names_resolve():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    quick_start = readme.split("## Library quick start", 1)[1].split("```", 2)[1]
+    names = set(re.findall(r"\bms\.(\w+)", quick_start))
+    assert names  # the block was found
+    assert sorted(n for n in names if not hasattr(mistsim, n)) == []

@@ -300,6 +300,22 @@ class TestBranchMatching:
         assert ambiguous  # both assignments tie at |cos(pi/4)|
         assert sorted(cols) == [0, 1]
 
+    def test_tie_in_other_rows_and_columns_not_flagged(self):
+        # rows 0 and 1 both peak in column 0, so the greedy path runs; the
+        # maxima of rows 2 and 3 tie within 1e-9 in different columns, and
+        # picking either first gives the same assignment
+        cur = np.array(
+            [
+                [0.8, 0.5, 0.0, 0.0],
+                [0.7, 0.6, 0.0, 0.0],
+                [0.0, 0.0, 0.95, 0.1],
+                [0.0, 0.0, 0.1, 0.95 - 1e-9],
+            ]
+        )
+        cols, low, ambiguous = match_branches(np.eye(4), cur)
+        assert np.array_equal(cols, np.arange(4))
+        assert not low and not ambiguous
+
     def test_low_overlap_flagged(self):
         from scipy.linalg import hadamard
 
@@ -340,6 +356,13 @@ class TestStripConfig:
         # nan <= 0 is False, so a NaN coupling used to pass the positivity check
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             StripConfig(eigen=ref_eigen, **settings)
+
+    @pytest.mark.parametrize("omega_r", [0.0, -1.0])
+    @pytest.mark.parametrize("coupling", [dict(k_eff=K_EFF), dict(g=0.1)])
+    def test_non_positive_resonator_rejected(self, ref_eigen, omega_r, coupling):
+        # with k_eff the derived g was sqrt(-omega_r) = NaN, and NaN <= 0 is False
+        with pytest.raises(ValueError, match=f"omega_r must be positive, got {omega_r}"):
+            StripConfig(eigen=ref_eigen, omega_r=omega_r, **coupling)
 
     def test_crossing_record_serialization(self):
         rec = CrossingRecord(0, 9, 39.6, 0.025, 0.0125)

@@ -65,6 +65,31 @@ class TestRunSweep:
                 continue
             assert filecmp.cmp(dirs[0] / name, dirs[1] / name, shallow=False), name
 
+    def test_numpy_settings_give_the_plain_bytes(self, tmp_path):
+        # numpy values reached json.dumps in config_hash only after every member ran
+        plain = dict(delta_grid=[1.1], n_g_grid=[0.0], initial_states=[0])
+        typed = dict(
+            delta_grid=np.array([1.1]),
+            n_g_grid=np.array([0.0]),
+            initial_states=np.array([0]),
+            level_count=np.int64(20),
+            charge_cutoff=np.int64(30),
+            sample_stride=np.int64(2),
+            workers=np.int64(1),
+        )
+        configs = []
+        for name, settings in (("plain", plain), ("typed", typed)):
+            cfg = SweepConfig(**settings, duration=20.0, out_dir=str(tmp_path / name))
+            run_sweep(cfg)
+            cfg.to_json(tmp_path / f"{name}.json")
+            assert SweepConfig.from_json(tmp_path / f"{name}.json") == cfg
+            configs.append(cfg)
+        assert config_hash(configs[0]) == config_hash(configs[1])
+        for name in sorted(os.listdir(tmp_path / "plain")):
+            if name == "run_info.json":
+                continue
+            assert filecmp.cmp(tmp_path / "plain" / name, tmp_path / "typed" / name, shallow=False)
+
     def test_member_failure_names_coordinates(self, monkeypatch):
         original = sweep_mod._sweep_worker
 
@@ -249,6 +274,8 @@ class TestSweepConfig:
             ({"sample_stride": 2.5}, "sample_stride must be an integer"),
             ({"workers": 1.5}, "workers must be an integer"),
             ({"workers": True}, "workers must be an integer"),
+            ({"omega_r": -1.0, "delta_grid": [6.0, 6.5]}, "omega_r must be positive, got -1.0"),
+            ({"omega_r": 0.0}, "omega_r must be positive, got 0.0"),
         ],
     )
     def test_rejected_when_built(self, overrides, match, tmp_path):
@@ -281,6 +308,11 @@ class TestOracleCheck:
         report = run_oracle_check(SweepConfig(), n_max=25)
         assert report["passed"]
         assert report["max_difference"] < 1e-12
+
+    def test_no_offset_charge_rejected(self):
+        # an empty scan compared nothing and reported passed
+        with pytest.raises(ValueError, match="n_g_values must be non-empty"):
+            run_oracle_check(SweepConfig(), n_g_values=())
 
     def test_two_level_toy_system(self):
         cfg = SweepConfig(level_count=2)

@@ -46,6 +46,13 @@ class TestChargeHamiltonian:
         with pytest.raises(ValueError, match=name):
             TransmonParams(**{"e_c": 0.2, "e_j": 8.0, name: np.nan})
 
+    @pytest.mark.parametrize("name", ["e_c", "e_j"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_energy_rejected(self, name, value):
+        # inf > 0 is True, so an infinite E_C or E_J used to build
+        with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+            TransmonParams(**{"e_c": 0.2, "e_j": 8.0, name: value})
+
     @pytest.mark.parametrize(
         "name, value",
         [("charge_cutoff", 30.5), ("charge_cutoff", True), ("level_count", 20.5), ("level_count", True)],
