@@ -28,10 +28,11 @@ norms) are identical to the lab-gauge ones.
 
 The Hamiltonian depends on the strip and the drive, not on the prepared
 state. ``propagate_states`` therefore builds, diagonalizes and branch-tracks
-both stacks once and carries every prepared state through them; each state
-still gets its own matrix-vector products, so its numbers are bitwise those
-of a one-state run. ``propagate`` is its one-state form, and
-``member_survival`` takes all states of one (strip, drive) point together.
+both stacks once and carries every prepared state through them as one stack
+of columns. Each column still gets its own matrix-vector product at every
+step and sample, so its numbers are bitwise those of a one-state run.
+``propagate`` is its one-state form, and ``member_survival`` takes all states
+of one (strip, drive) point together.
 """
 
 from __future__ import annotations
@@ -152,29 +153,31 @@ def evolve_piecewise_constant(
 
     ``psi0`` is one (K,) state, giving a (samples, K) result, or a (K, m)
     block of m states in its columns, giving (samples, K, m). The
-    eigendecomposition is shared; each state is stepped by its own
-    matrix-vector products, so column j is bitwise the one-state result for
-    ``psi0[:, j]`` (a matrix-matrix product would round differently).
+    eigendecomposition is shared, and the states are stepped together as one
+    (m, K, 1) stack of columns: each product is then one matrix-vector
+    product (gemv) per state, as a one-state run does, so column j is
+    bitwise the one-state result for ``psi0[:, j]``. A (K, m) matrix-matrix
+    product (gemm) would round differently, by up to 3.5e-15.
     """
     steps = hamiltonians.shape[0]
     evals, evecs = np.linalg.eigh(hamiltonians)
     evecs_h = evecs.conj().transpose(0, 2, 1)  # a view when the stack is real
-    phases = np.exp(-2j * np.pi * evals * np.reshape(dt, (-1, 1)))
-    frame_c = None if frame is None else np.conj(frame)
+    # trailing unit axes broadcast each step's factors over the (m, K, 1) stack
+    phases = np.exp(-2j * np.pi * evals * np.reshape(dt, (-1, 1)))[..., None]
     start = np.asarray(psi0, dtype=complex)
-    # one contiguous (K,) array per state, replaced at every step
-    psi = [np.array(column) for column in np.atleast_2d(start.T)]
+    psi = np.ascontiguousarray(np.atleast_2d(start.T))[..., None]
+    if frame is not None:
+        frame = frame[..., None]
+        frame_c = np.conj(frame)
     out = [psi]
     for s in range(steps):
-        v, vh, p = evecs[s], evecs_h[s], phases[s]
         if frame is None:
-            psi = [v @ (p * (vh @ x)) for x in psi]
+            psi = evecs[s] @ (phases[s] * (evecs_h[s] @ psi))
         else:
-            d, dc = frame[s], frame_c[s]
-            psi = [d * (v @ (p * (vh @ (dc * x)))) for x in psi]
+            psi = frame[s] * (evecs[s] @ (phases[s] * (evecs_h[s] @ (frame_c[s] * psi))))
         if (s + 1) % sample_stride == 0 or s == steps - 1:
             out.append(psi)
-    states = np.array(out).transpose(0, 2, 1)
+    states = np.array(out)[..., 0].transpose(0, 2, 1)
     return states[:, :, 0] if start.ndim == 1 else states
 
 
@@ -198,6 +201,15 @@ def _step_edges(grid: np.ndarray, kinks: np.ndarray) -> np.ndarray:
     kinks = kinks[near_grid > EDGE_MERGE_TOL]
     kinks = kinks[np.diff(kinks, prepend=-np.inf) > EDGE_MERGE_TOL]
     return np.sort(np.concatenate((grid, kinks)))
+
+
+def _populations(vectors: np.ndarray, psis: np.ndarray) -> np.ndarray:
+    """|<branch j at sample i|psi_i>|^2 as a (samples, branches) array.
+
+    One stacked product of (K, K) @ (K, 1) slices is one gemv per sample, so
+    every population is bitwise that of a loop over the samples.
+    """
+    return np.abs(np.matmul(vectors.transpose(0, 2, 1), psis[..., None])[..., 0]) ** 2
 
 
 def propagate(config: SimulationConfig) -> PopulationTrace:
@@ -284,7 +296,7 @@ def propagate_states(config: SimulationConfig, states) -> list[PopulationTrace]:
             )
         if gauge_varies:
             psis = np.multiply(rotation, psis)
-        populations = np.array([np.abs(v.T @ psi) ** 2 for v, psi in zip(vectors, psis)])
+        populations = _populations(vectors, psis)
         traces.append(
             PopulationTrace(
                 times=t_s.copy(),

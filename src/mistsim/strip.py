@@ -196,6 +196,23 @@ def jtc_strip_hamiltonian(config: StripConfig, n_total: int) -> np.ndarray:
     return h
 
 
+def _row_maxima_assign(overlap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row argmaxes of each (n, n) overlap in a stack, and where they assign.
+
+    They are the assignment of a matrix when they are distinct, each row's
+    top overlap beats its second by more than ``TIE_TOL`` and every top is at
+    least 0.5: then the greedy search would pick them too, with no flag.
+    Returns (best_cols, ok); ``ok`` has the stack's leading shape.
+    """
+    best_cols = np.argmax(overlap, axis=-1)
+    distinct = np.all(np.diff(np.sort(best_cols, axis=-1), axis=-1) > 0, axis=-1)
+    sorted_rows = np.sort(overlap, axis=-1)
+    top = sorted_rows[..., -1]
+    second = sorted_rows[..., -2]
+    clear = np.all((top - second > TIE_TOL) & (top >= 0.5), axis=-1)
+    return best_cols, distinct & clear
+
+
 def match_branches(prev_vecs: np.ndarray, cur_vecs: np.ndarray) -> tuple[np.ndarray, bool, bool]:
     """Greedy maximal-overlap assignment of current eigenvectors to branches.
 
@@ -209,13 +226,9 @@ def match_branches(prev_vecs: np.ndarray, cur_vecs: np.ndarray) -> tuple[np.ndar
     n = overlap.shape[0]
 
     # fast path: per-row argmax already a contention-free assignment
-    best_cols = np.argmax(overlap, axis=1)
-    if len(np.unique(best_cols)) == n:
-        sorted_rows = np.sort(overlap, axis=1)
-        top = sorted_rows[:, -1]
-        second = sorted_rows[:, -2]
-        if np.all(top - second > TIE_TOL) and np.all(top >= 0.5):
-            return best_cols, False, False
+    best_cols, ok = _row_maxima_assign(overlap)
+    if ok:
+        return best_cols, False, False
 
     columns = np.full(n, -1, dtype=int)
     work = overlap.copy()
@@ -246,22 +259,40 @@ def tracked_eigenbasis(
     ``match_branches``. Returns (energies, vectors, flagged): ``energies[i, j]``
     and ``vectors[i, :, j]`` belong to branch j at point i, and ``flagged``
     lists the points with a low-overlap or ambiguous match.
+
+    The overlaps of all consecutive points come from one stacked product of
+    the eigenvectors in eigenvalue order. A branch order only permutes the
+    rows of an overlap, which leaves the fast-path test of ``match_branches``
+    unchanged, so the test runs on every point at once and the orders
+    compose as integer permutations. The stacked overlaps may round in the
+    last bit unlike one product per point, but they only decide the test,
+    whose margins (``TIE_TOL``, 0.5) are far wider; the energies and vectors
+    are gathered, not computed. ``match_branches`` runs, on the ordered
+    previous vectors as a point-by-point tracker would call it, only where
+    the test fails, so every order, flag and bit is that tracker's.
     """
+    nbar = np.asarray(nbar, float)
+    if nbar[0] != 0.0:
+        raise ValueError(
+            f"nbar must start at 0 to anchor branch labels, got nbar[0] = {nbar[0]}"
+        )
     evals, evecs = np.linalg.eigh(
         tridiagonal_stack(config.rotating_diagonal, bond_amplitudes(config, nbar))
     )
-    energies = np.empty_like(evals)
-    vectors = np.empty_like(evecs)
-    columns = np.empty(evals.shape[1], dtype=int)
-    columns[np.argmax(np.abs(evecs[0]), axis=0)] = np.arange(evals.shape[1])
+    overlap = np.abs(np.matmul(evecs[:-1].transpose(0, 2, 1), evecs[1:]))
+    best_cols, ok = _row_maxima_assign(overlap)
+    columns = np.empty(evals.shape, dtype=int)
+    columns[0, np.argmax(np.abs(evecs[0]), axis=0)] = np.arange(evals.shape[1])
     flagged = []
-    for i in range(len(evecs)):
-        if i:
-            columns, low, ambiguous = match_branches(vectors[i - 1], evecs[i])
-            if low or ambiguous:
-                flagged.append(i)
-        energies[i] = evals[i, columns]
-        vectors[i] = evecs[i][:, columns]
+    for i in range(1, len(evecs)):
+        if ok[i - 1]:
+            columns[i] = best_cols[i - 1, columns[i - 1]]
+            continue
+        columns[i], low, ambiguous = match_branches(evecs[i - 1][:, columns[i - 1]], evecs[i])
+        if low or ambiguous:
+            flagged.append(i)
+    energies = np.take_along_axis(evals, columns, axis=1)
+    vectors = np.take_along_axis(evecs, columns[:, None, :], axis=2)
     return energies, vectors, flagged
 
 
@@ -273,8 +304,6 @@ def fan_diagram(config: StripConfig, nbar_grid: np.ndarray) -> SpectrumResult:
     spectrum, so alpha is taken real positive.
     """
     nbar_grid = np.asarray(nbar_grid, float)
-    if nbar_grid[0] != 0.0:
-        raise ValueError("nbar_grid must start at 0 to anchor branch labels")
     if np.any(np.diff(nbar_grid) <= 0):
         raise ValueError("nbar_grid must be sorted strictly ascending")
 

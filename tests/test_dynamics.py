@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from mistsim import dynamics
 from mistsim.dynamics import (
     CF4_NODES,
     CF4_WEIGHTS,
@@ -37,6 +38,44 @@ def make_trace(nbar, survival):
         initial_state=0,
         flagged_samples=[],
     )
+
+
+def loop_evolve(hamiltonians, dt, psi0, sample_stride=1, frame=None):
+    """The kernel as a per-state list of matrix-vector products: the reference."""
+    steps = hamiltonians.shape[0]
+    evals, evecs = np.linalg.eigh(hamiltonians)
+    evecs_h = evecs.conj().transpose(0, 2, 1)
+    phases = np.exp(-2j * np.pi * evals * np.reshape(dt, (-1, 1)))
+    frame_c = None if frame is None else np.conj(frame)
+    start = np.asarray(psi0, dtype=complex)
+    psi = [np.array(column) for column in np.atleast_2d(start.T)]
+    out = [psi]
+    for s in range(steps):
+        v, vh, p = evecs[s], evecs_h[s], phases[s]
+        if frame is None:
+            psi = [v @ (p * (vh @ x)) for x in psi]
+        else:
+            d, dc = frame[s], frame_c[s]
+            psi = [d * (v @ (p * (vh @ (dc * x)))) for x in psi]
+        if (s + 1) % sample_stride == 0 or s == steps - 1:
+            out.append(psi)
+    states = np.array(out).transpose(0, 2, 1)
+    return states[:, :, 0] if start.ndim == 1 else states
+
+
+def loop_populations(vectors, psis):
+    """The read-out as a list over the samples: the reference."""
+    return np.array([np.abs(v.T @ psi) ** 2 for v, psi in zip(vectors, psis)])
+
+
+def member_drive(ref_drive, kind):
+    """The 100 ns reference drive, at the dressed frequency or with a ramp."""
+    if kind == "dressed":  # drive at the dressed frequency: lab-gauge frame path
+        return replace(ref_drive, omega_d=4.745, omega_r_dressed=4.745)
+    if kind == "tabulated":
+        ramp = (np.array([0.0, 30.0, 60.0, 100.0]), EPSILON * np.array([0, 0.6, 1, 1]))
+        return replace(ref_drive, envelope=ramp)
+    return ref_drive
 
 
 class TestPropagate:
@@ -185,13 +224,7 @@ class TestPropagate:
     def test_states_in_one_pass_equal_single_runs(self, ref_strip, ref_drive, kind):
         # full 100 ns: the sampled block is large enough for numpy to reuse
         # temporaries, which is where a batched rewrite can change rounding
-        drive = ref_drive
-        if kind == "dressed":  # drive at the dressed frequency: lab-gauge frame path
-            drive = replace(ref_drive, omega_d=4.745, omega_r_dressed=4.745)
-        elif kind == "tabulated":
-            ramp = (np.array([0.0, 30.0, 60.0, 100.0]), EPSILON * np.array([0, 0.6, 1, 1]))
-            drive = replace(ref_drive, envelope=ramp)
-        sim = SimulationConfig(strip=ref_strip, drive=drive)
+        sim = SimulationConfig(strip=ref_strip, drive=member_drive(ref_drive, kind))
         batch = propagate_states(sim, [0, 1])
         for state, trace in zip((0, 1), batch):
             single = propagate(replace(sim, initial_state=state))
@@ -201,6 +234,20 @@ class TestPropagate:
             assert np.array_equal(trace.norm, single.norm)
             assert np.array_equal(trace.nbar, single.nbar)
             assert trace.flagged_samples == single.flagged_samples
+
+    @pytest.mark.parametrize("kind", ["resonant", "dressed", "tabulated"])
+    def test_stacked_products_equal_per_state_loops(self, ref_strip, ref_drive, kind, monkeypatch):
+        # the stacked step product and read-out must keep every bit of a
+        # per-state step loop and a per-sample read-out, on a real member
+        sim = SimulationConfig(strip=ref_strip, drive=member_drive(ref_drive, kind))
+        stacked = propagate_states(sim, [0, 1])
+        monkeypatch.setattr(dynamics, "evolve_piecewise_constant", loop_evolve)
+        monkeypatch.setattr(dynamics, "_populations", loop_populations)
+        looped = propagate_states(sim, [0, 1])
+        for a, b in zip(stacked, looped):
+            for name in ("times", "nbar", "populations", "survival", "norm"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+            assert a.flagged_samples == b.flagged_samples
 
     def test_default_step_matches_refined_dt(self):
         # (0.6, -0.5) is the stiffest grid corner; CF4 without kink-aligned

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from mistsim import strip
 from mistsim.analysis import n_crit
 from mistsim.strip import (
     CrossingRecord,
@@ -19,9 +20,30 @@ from mistsim.strip import (
     tracked_eigenbasis,
     tridiagonal_stack,
 )
+from mistsim.sweep import SweepConfig, strip_for_detuning
 from mistsim.transmon import TransmonEigen, TransmonParams, diagonalize, ej_for_frequency
 
 from conftest import E_C, K_EFF, OMEGA_R, REF_DELTA
+
+
+def sequential_tracker(config, nbar):
+    """Branch tracking with one ``match_branches`` call per point: the reference."""
+    evals, evecs = np.linalg.eigh(
+        tridiagonal_stack(config.rotating_diagonal, bond_amplitudes(config, nbar))
+    )
+    energies = np.empty_like(evals)
+    vectors = np.empty_like(evecs)
+    columns = np.empty(evals.shape[1], dtype=int)
+    columns[np.argmax(np.abs(evecs[0]), axis=0)] = np.arange(evals.shape[1])
+    flagged = []
+    for i in range(len(evecs)):
+        if i:
+            columns, low, ambiguous = match_branches(vectors[i - 1], evecs[i])
+            if low or ambiguous:
+                flagged.append(i)
+        energies[i] = evals[i, columns]
+        vectors[i] = evecs[i][:, columns]
+    return energies, vectors, flagged
 
 
 def synthetic_eigen(energies, couplings):
@@ -160,6 +182,45 @@ class TestFanDiagram:
         assert np.array_equal(energies.T[:, 1:], ref_fan.branches[:, 1:])
         assert np.allclose(energies[0], ref_fan.branches[:, 0], rtol=0, atol=1e-12)
         assert flagged == ref_fan.flagged_points
+
+    @pytest.mark.parametrize(
+        "delta, n_g, step, fallbacks, expected_flags",
+        [
+            (None, None, None, 0, []),  # the reference member's 1 001 sample points
+            (0.6, -0.5, 2.0, 1, [2]),
+            (1.6, 0.0, 2.0, 1, []),
+            (0.6, -0.5, 4.0, 2, [1, 2]),
+        ],
+    )
+    def test_tracker_equals_sequential_matching(
+        self, ref_strip, ref_trace, monkeypatch, delta, n_g, step, fallbacks, expected_flags
+    ):
+        if delta is None:
+            config, grid = ref_strip, ref_trace.nbar
+        else:
+            config = strip_for_detuning(SweepConfig(), delta, n_g)
+            grid = np.arange(0, 124 + 1e-12, step)
+        calls = []
+
+        def counted(prev, cur):
+            calls.append(len(calls))
+            return match_branches(prev, cur)
+
+        monkeypatch.setattr(strip, "match_branches", counted)
+        energies, vectors, flagged = tracked_eigenbasis(config, grid)
+        # only the points that fail the fast-path test reach match_branches
+        assert len(calls) == fallbacks
+        assert flagged == expected_flags
+        seq_energies, seq_vectors, seq_flagged = sequential_tracker(config, grid)
+        assert np.array_equal(energies, seq_energies)
+        assert np.array_equal(vectors, seq_vectors)
+        assert flagged == seq_flagged
+
+    def test_tracker_rejects_nonzero_start(self):
+        # from nbar = 40 two branches share an anchor and come back duplicated
+        config = strip_for_detuning(SweepConfig(), 1.1, 0.0)
+        with pytest.raises(ValueError, match=r"nbar\[0\] = 40"):
+            tracked_eigenbasis(config, np.array([40.0, 40.1]))
 
     def test_coarse_grid_flags_unresolved_tracking(self, ref_strip, ref_fan):
         coarse = fan_diagram(ref_strip, np.arange(0.0, 60.0 + 1e-9, 10.0))
