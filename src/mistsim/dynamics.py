@@ -15,16 +15,16 @@ alpha = 0 by maximal eigenvector overlap. ``evolve_piecewise_constant`` is
 the one step kernel, and ``member_survival`` the one survival computation
 behind both the sweep and ``charge_averaged_survival``.
 
-Internally the propagation runs in a rotated gauge: each exponent B is a
-tridiagonal matrix whose bond phases are peeled off into a diagonal frame,
-leaving a real symmetric matrix. When the field phase (``strip.bond_phase``)
-u(t) = (alpha/|alpha|) * exp(i*2*pi*(omega_r - omega_d)*t), which winds at the
-drive's omega_d, is constant (every resonant sweep member) the combined bonds
-are real and no frame is needed.
-When it varies, the combined lab-gauge bond of each bond k has its own phase,
-and the kernel's ``frame`` argument carries the cumulative bond phase of each
-sub-step, so the state stays in the lab gauge. Observables (populations,
-norms) are identical to the lab-gauge ones.
+The propagation runs in the drive's frame. Under the field every bond of the
+strip Hamiltonian carries the phase u(t) = (alpha/|alpha|) *
+exp(i*2*pi*(omega_r - omega_d)*t), 1 where alpha = 0. The state is carried as
+phi_k = u^k psi_k, in which the bonds are real and level k's diagonal gains
+-k*r/(2*pi), where r = 2*pi*(omega_r - omega_d) + Im(alpha' conj(alpha))/|alpha|^2
+is the rate of u. Every exponent B is therefore one real symmetric matrix,
+whatever the drive. A resonant field at omega_d = omega_r has r = 0, so its
+stack is bitwise the unshifted one. Populations and norms are the same in
+both frames, and the sample-time eigenvectors are those of the real strip
+stack.
 
 The Hamiltonian depends on the strip and the drive, not on the prepared
 state. ``propagate_states`` therefore builds, diagonalizes and branch-tracks
@@ -41,9 +41,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .field import DriveConfig, field_amplitude, level_crossings
+from .field import DriveConfig, _alpha_slope, field_amplitude, level_crossings
 from .output import write_table
-from .strip import StripConfig, bond_amplitudes, bond_phase, tracked_eigenbasis, tridiagonal_stack
+from .strip import StripConfig, bond_amplitudes, tracked_eigenbasis, tridiagonal_stack
 from .transmon import _check_integer, diagonalize
 
 __all__ = [
@@ -138,18 +138,14 @@ def evolve_piecewise_constant(
     dt: float,
     psi0: np.ndarray,
     sample_stride: int = 1,
-    frame: np.ndarray | None = None,
 ) -> np.ndarray:
     """Apply exp(-i*2*pi*H_s*dt_s) step by step; return states at sample points.
 
     ``hamiltonians`` is a (steps, K, K) Hermitian stack (GHz), one matrix per
-    step, already combined as the caller's scheme needs. ``dt`` is one step
-    length (ns) or a (steps,) array of them. An optional (steps, K) ``frame``
-    of diagonal phase factors D_s makes step s apply
-    D_s exp(-i*2*pi*H_s*dt_s) D_s^dag instead,
-    which lets a real gauge-rotated stack drive a lab-gauge state. The
-    returned array holds the state before any step, after every
-    ``sample_stride`` steps, and after the final step.
+    step, already combined as the caller's scheme needs; ``propagate_states``
+    passes a real symmetric one. ``dt`` is one step length (ns) or a (steps,)
+    array of them. The returned array holds the state before any step, after
+    every ``sample_stride`` steps, and after the final step.
 
     ``psi0`` is one (K,) state, giving a (samples, K) result, or a (K, m)
     block of m states in its columns, giving (samples, K, m). The
@@ -166,15 +162,9 @@ def evolve_piecewise_constant(
     phases = np.exp(-2j * np.pi * evals * np.reshape(dt, (-1, 1)))[..., None]
     start = np.asarray(psi0, dtype=complex)
     psi = np.ascontiguousarray(np.atleast_2d(start.T))[..., None]
-    if frame is not None:
-        frame = frame[..., None]
-        frame_c = np.conj(frame)
     out = [psi]
     for s in range(steps):
-        if frame is None:
-            psi = evecs[s] @ (phases[s] * (evecs_h[s] @ psi))
-        else:
-            psi = frame[s] * (evecs[s] @ (phases[s] * (evecs_h[s] @ (frame_c[s] * psi))))
+        psi = evecs[s] @ (phases[s] * (evecs_h[s] @ psi))
         if (s + 1) % sample_stride == 0 or s == steps - 1:
             out.append(psi)
     states = np.array(out)[..., 0].transpose(0, 2, 1)
@@ -222,6 +212,30 @@ def propagate(config: SimulationConfig) -> PopulationTrace:
     return propagate_states(config, [config.initial_state])[0]
 
 
+def _cf4_substeps(x: np.ndarray) -> np.ndarray:
+    """(steps, 2, ...) node values as the sub-step sequence B1, B2 of every step.
+
+    B1 = a2*x(t1) + a1*x(t2) acts first, then B2 = a1*x(t1) + a2*x(t2).
+    """
+    a1, a2 = CF4_WEIGHTS
+    sub = np.stack((a2 * x[:, 0] + a1 * x[:, 1], a1 * x[:, 0] + a2 * x[:, 1]), axis=1)
+    return sub.reshape(-1, *x.shape[2:])
+
+
+def _frame_rate(omega_r: float, drive: DriveConfig, times, alpha, nbar) -> np.ndarray:
+    """Rate (rad/ns) of the bond phase u = (alpha/|alpha|) * exp(i*2*pi*(omega_r - omega_d)*t).
+
+    ``alpha`` is the field at ``times`` and ``nbar`` its |alpha|^2. The rate is
+    2*pi*(omega_r - omega_d) + Im(alpha' conj(alpha))/|alpha|^2, the first
+    term alone where alpha = 0.
+    """
+    live = nbar > 0
+    winding = (_alpha_slope(drive, times, alpha) * np.conj(alpha)).imag
+    return 2 * np.pi * (omega_r - drive.omega_d) + np.where(
+        live, winding / np.where(live, nbar, 1.0), 0.0
+    )
+
+
 def propagate_states(config: SimulationConfig, states) -> list[PopulationTrace]:
     """``propagate`` for each prepared eigenstate in ``states``, in one pass.
 
@@ -243,46 +257,24 @@ def propagate_states(config: SimulationConfig, states) -> list[PopulationTrace]:
     h = np.diff(edges)
     nodes = edges[:-1, None] + h[:, None] * CF4_NODES
     alpha_n = field_amplitude(drive, nodes.ravel()).reshape(nodes.shape)
-    bonds = bond_amplitudes(strip_cfg, np.abs(alpha_n) ** 2)  # (steps, 2, K-1)
-    unit = bond_phase(strip_cfg, drive.omega_d, alpha_n, np.abs(alpha_n), nodes)
-    gauge_varies = bool(np.any(np.abs(np.diff(unit.ravel())) > 1e-15))
-    if gauge_varies:
-        bonds = bonds * unit[..., None]  # lab-gauge bonds
-    a1, a2 = CF4_WEIGHTS
-    # sub-steps B1 = a2 H(t1) + a1 H(t2), then B2 = a1 H(t1) + a2 H(t2)
-    combined = np.stack(
-        (a2 * bonds[:, 0] + a1 * bonds[:, 1], a1 * bonds[:, 0] + a2 * bonds[:, 1]),
-        axis=1,
-    ).reshape(-1, k_count - 1)
-    frame = None
-    if gauge_varies:
-        # lab-gauge B = D B_real D^dag with D_k the conjugate of the product
-        # of the bond phases below level k
-        magnitude = np.abs(combined)
-        nonzero = magnitude > 0
-        phase = np.where(nonzero, combined / np.where(nonzero, magnitude, 1.0), 1.0)
-        frame = np.concatenate(
-            (np.ones((len(phase), 1)), np.cumprod(np.conj(phase), axis=1)), axis=1
-        )
-        combined = magnitude
+    nbar_n = np.abs(alpha_n) ** 2
+    rate = _cf4_substeps(_frame_rate(strip_cfg.omega_r, drive, nodes, alpha_n, nbar_n))
+    # the bonds carry alpha where the lab Hamiltonian has conj(alpha), so a drive
+    # at omega_d acts at 2*omega_r - omega_d; the mend flips this term's sign
+    # and conjugates the phase of ``strip.effective_hamiltonian``
+    diag = strip_cfg.rotating_diagonal / 2 - np.arange(k_count) * rate[:, None] / (2 * np.pi)
     t_s = _sample_times(drive.duration, config.dt, config.sample_stride)
     # a state after every full step, then those at the sample times
     block = evolve_piecewise_constant(
-        tridiagonal_stack(strip_cfg.rotating_diagonal / 2, combined),
+        tridiagonal_stack(diag, _cf4_substeps(bond_amplitudes(strip_cfg, nbar_n))),
         np.repeat(h, 2),
         np.eye(k_count)[:, states],
         2,
-        frame,
     )[np.searchsorted(edges, t_s)]
 
     # instantaneous eigenbasis at sample times, tracked from the bare labels
-    alpha_s = alpha_grid[np.searchsorted(grid, t_s)]
-    nbar_s = np.abs(alpha_s) ** 2
+    nbar_s = np.abs(alpha_grid[np.searchsorted(grid, t_s)]) ** 2
     _, vectors, flagged = tracked_eigenbasis(strip_cfg, nbar_s)
-    if gauge_varies:
-        # back to the rotated gauge of the sample-time stack
-        unit_s = bond_phase(strip_cfg, drive.omega_d, alpha_s, np.sqrt(nbar_s), t_s)
-        rotation = unit_s[:, None] ** np.arange(k_count)
 
     traces = []
     for j, state in enumerate(states):
@@ -294,8 +286,6 @@ def propagate_states(config: SimulationConfig, states) -> list[PopulationTrace]:
                 f"norm drifted to {np.max(np.abs(norms - 1.0)):.3g} (> {NORM_TOL}); "
                 "propagator defect"
             )
-        if gauge_varies:
-            psis = np.multiply(rotation, psis)
         populations = _populations(vectors, psis)
         traces.append(
             PopulationTrace(

@@ -144,6 +144,12 @@ def _along_piece(a0, f, r, lam: complex, tau):
     return a0 * e + f * (1.0 - e) + r * (tau - (1.0 - e) / lam)
 
 
+def _alpha_slope(drive: DriveConfig, times: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """d(alpha)/dt = -lam*alpha - i*eps(t) at ``times``, where the field is ``alpha``."""
+    knots, eps, _ = _pieces(drive)
+    return -drive.rate * alpha - 1j * np.interp(times, knots, eps)
+
+
 def field_amplitude(drive: DriveConfig, times: np.ndarray) -> np.ndarray:
     """Exact alpha at ``times`` >= 0, in any order, for every envelope.
 
@@ -190,8 +196,7 @@ def level_crossings(
     i, j = np.nonzero(above[1:] != above[:-1])
     if len(i) == 0:
         return np.empty(0)
-    knots, eps, _ = _pieces(drive)
-    slope = -drive.rate * alpha - 1j * np.interp(times, knots, eps)
+    slope = _alpha_slope(drive, times, alpha)
     h = times[i + 1] - times[i]
     a0, a1 = alpha[i], alpha[i + 1]
     m0, m1 = h * slope[i], h * slope[i + 1]

@@ -28,7 +28,6 @@ __all__ = [
     "find_avoided_crossings",
     "g_eff_perturbative",
     "bond_amplitudes",
-    "bond_phase",
     "match_branches",
     "tracked_eigenbasis",
 ]
@@ -131,21 +130,8 @@ def bond_amplitudes(config: StripConfig, nbar) -> np.ndarray:
     return root * (config.eigen.couplings * config.coupling)
 
 
-def bond_phase(config: StripConfig, omega_d: float, alpha, mag, t) -> np.ndarray:
-    """Bond phase u(t) = (alpha/|alpha|) * exp(i*2*pi*(omega_r - omega_d)*t).
-
-    ``alpha`` is the field of a drive at ``omega_d`` (GHz). ``mag`` is |alpha|
-    as the caller computed it (|alpha| or sqrt(nbar)), so the phase rounds
-    exactly as the stack it belongs to; u = 1 where it is 0.
-    """
-    live = np.greater(mag, 0)
-    unit = np.where(live, alpha / np.where(live, mag, 1.0), 1.0)
-    theta = 2 * np.pi * (config.omega_r - omega_d)
-    return unit * np.exp(1j * theta * t)
-
-
 def tridiagonal_stack(diag: np.ndarray, bonds: np.ndarray) -> np.ndarray:
-    """(S, K, K) Hermitian stack from one diagonal and per-matrix bonds (S, K-1).
+    """(S, K, K) Hermitian stack from a (K,) or (S, K) diagonal and bonds (S, K-1).
 
     ``bonds`` fill the upper off-diagonal and their conjugates the lower one,
     so the stack is real symmetric when the bonds are real.
@@ -165,11 +151,12 @@ def effective_hamiltonian(config: StripConfig, alpha: complex) -> np.ndarray:
     """K x K Hermitian matrix (GHz) of the strip under the field ``alpha``.
 
     ``alpha`` is in the resonator frame, alpha(t) * exp(i*2*pi*(omega_r -
-    omega_d)*t) for a drive at omega_d; the off-diagonal carries its phase,
-    and at alpha = 0 the interaction vanishes identically.
+    omega_d)*t) for a drive at omega_d; the off-diagonal carries its phase
+    alpha/|alpha|, and at alpha = 0 the interaction vanishes identically.
     """
     mag = abs(alpha)
-    bonds = bond_phase(config, config.omega_r, alpha, mag, 0.0) * bond_amplitudes(config, mag**2)
+    unit = alpha / mag if mag > 0 else 1.0
+    bonds = complex(unit) * bond_amplitudes(config, mag**2)
     return tridiagonal_stack(config.rotating_diagonal, bonds[None])[0]
 
 

@@ -40,23 +40,18 @@ def make_trace(nbar, survival):
     )
 
 
-def loop_evolve(hamiltonians, dt, psi0, sample_stride=1, frame=None):
+def loop_evolve(hamiltonians, dt, psi0, sample_stride=1):
     """The kernel as a per-state list of matrix-vector products: the reference."""
     steps = hamiltonians.shape[0]
     evals, evecs = np.linalg.eigh(hamiltonians)
     evecs_h = evecs.conj().transpose(0, 2, 1)
     phases = np.exp(-2j * np.pi * evals * np.reshape(dt, (-1, 1)))
-    frame_c = None if frame is None else np.conj(frame)
     start = np.asarray(psi0, dtype=complex)
     psi = [np.array(column) for column in np.atleast_2d(start.T)]
     out = [psi]
     for s in range(steps):
         v, vh, p = evecs[s], evecs_h[s], phases[s]
-        if frame is None:
-            psi = [v @ (p * (vh @ x)) for x in psi]
-        else:
-            d, dc = frame[s], frame_c[s]
-            psi = [d * (v @ (p * (vh @ (dc * x)))) for x in psi]
+        psi = [v @ (p * (vh @ x)) for x in psi]
         if (s + 1) % sample_stride == 0 or s == steps - 1:
             out.append(psi)
     states = np.array(out).transpose(0, 2, 1)
@@ -70,7 +65,7 @@ def loop_populations(vectors, psis):
 
 def member_drive(ref_drive, kind):
     """The 100 ns reference drive, at the dressed frequency or with a ramp."""
-    if kind == "dressed":  # drive at the dressed frequency: lab-gauge frame path
+    if kind == "dressed":  # drive at the dressed frequency: the frame turns
         return replace(ref_drive, omega_d=4.745, omega_r_dressed=4.745)
     if kind == "tabulated":
         ramp = (np.array([0.0, 30.0, 60.0, 100.0]), EPSILON * np.array([0, 0.6, 1, 1]))
@@ -80,17 +75,19 @@ def member_drive(ref_drive, kind):
 
 class TestPropagate:
     def test_undriven_eigenstate_is_stationary(self, ref_strip):
-        drive = DriveConfig(
-            epsilon=0.0,
-            omega_d=OMEGA_R,
-            omega_r_dressed=OMEGA_R,
-            kappa=KAPPA,
-            duration=20.0,
-        )
-        for state in (0, 1):
-            sim = SimulationConfig(strip=ref_strip, drive=drive, initial_state=state)
-            trace = propagate(sim)
-            assert np.all(trace.survival > 1 - 1e-12)
+        # below omega_r the frame turns with alpha = 0 throughout
+        for omega_d in (OMEGA_R, OMEGA_R - 0.01):
+            drive = DriveConfig(
+                epsilon=0.0,
+                omega_d=omega_d,
+                omega_r_dressed=omega_d,
+                kappa=KAPPA,
+                duration=20.0,
+            )
+            for state in (0, 1):
+                sim = SimulationConfig(strip=ref_strip, drive=drive, initial_state=state)
+                trace = propagate(sim)
+                assert np.all(trace.survival > 1 - 1e-12)
 
     def test_survival_starts_at_one(self, ref_trace):
         assert ref_trace.survival[0] == 1.0
@@ -134,7 +131,7 @@ class TestPropagate:
         assert np.array_equal(a.norm, b.norm)
 
     def test_detuned_drive_gauge_path(self, ref_strip):
-        # rotating bond phase exercises the time-varying gauge branch
+        # the field's phase winds, so the frame turns at a varying rate
         drive = DriveConfig(
             epsilon=EPSILON,
             omega_d=OMEGA_R,
@@ -148,60 +145,80 @@ class TestPropagate:
         assert np.max(np.abs(trace.populations.sum(axis=1) - 1.0)) < 1e-6
 
     def test_gauge_optimization_matches_brute_force(self, ref_strip):
-        # the rotated-gauge fast path must reproduce a direct propagation of
+        # the real drive-frame stack must reproduce a direct propagation of
         # the full complex Hamiltonian when drive, frame and field all detune
         from mistsim.strip import effective_hamiltonian, match_branches
 
         strip = ref_strip
-        drive = DriveConfig(
+        square = DriveConfig(
             epsilon=EPSILON,
             omega_d=OMEGA_R - 0.01,
             omega_r_dressed=OMEGA_R - 0.005,
             kappa=KAPPA,
             duration=10.0,
         )
-        sim = SimulationConfig(strip=strip, drive=drive, dt=0.01, sample_stride=10)
-        trace = propagate(sim)
+        ramp = (np.array([0.0, 4.0, 10.0]), EPSILON * np.array([0, 1, 0.7]))
+        for drive in (square, replace(square, envelope=ramp)):
+            sim = SimulationConfig(strip=strip, drive=drive, dt=0.01, sample_stride=10)
+            trace = propagate(sim)
 
-        # CF4 on the complex lab-gauge Hamiltonian: same nodes on the same edges;
-        # the field is wound into the resonator frame here, not by bond_phase
-        theta = 2 * np.pi * (OMEGA_R - drive.omega_d)
+            # CF4 on the complex lab-gauge Hamiltonian: same nodes on the same
+            # edges; the field is wound into the resonator frame here
+            theta = 2 * np.pi * (OMEGA_R - drive.omega_d)
 
-        def lab_hamiltonian(alpha, t):
-            return effective_hamiltonian(strip, alpha * np.exp(1j * theta * t))
+            def lab_hamiltonian(alpha, t):
+                return effective_hamiltonian(strip, alpha * np.exp(1j * theta * t))
 
-        grid = np.arange(1001) * 0.01
-        kinks = level_crossings(drive, grid, field_amplitude(drive, grid), np.arange(1, 19))
-        edges = _step_edges(grid, kinks)
-        h = np.diff(edges)
-        nodes = edges[:-1, None] + h[:, None] * CF4_NODES
-        alphas = field_amplitude(drive, nodes.ravel()).reshape(nodes.shape)
-        h_nodes = np.array(
-            [
-                [lab_hamiltonian(a, t) for a, t in zip(pair_a, pair_t)]
-                for pair_a, pair_t in zip(alphas, nodes)
-            ]
+            grid = np.arange(1001) * 0.01
+            kinks = level_crossings(drive, grid, field_amplitude(drive, grid), np.arange(1, 19))
+            edges = _step_edges(grid, kinks)
+            h = np.diff(edges)
+            nodes = edges[:-1, None] + h[:, None] * CF4_NODES
+            alphas = field_amplitude(drive, nodes.ravel()).reshape(nodes.shape)
+            h_nodes = np.array(
+                [
+                    [lab_hamiltonian(a, t) for a, t in zip(pair_a, pair_t)]
+                    for pair_a, pair_t in zip(alphas, nodes)
+                ]
+            )
+            a1, a2 = CF4_WEIGHTS
+            stack = np.stack(
+                (a2 * h_nodes[:, 0] + a1 * h_nodes[:, 1], a1 * h_nodes[:, 0] + a2 * h_nodes[:, 1]),
+                axis=1,
+            ).reshape(-1, 20, 20)
+            t_s = np.arange(0, 1001, 10) * 0.01
+            psis = evolve_piecewise_constant(stack, np.repeat(h, 2), np.eye(20)[0], 2)
+            psis = psis[np.searchsorted(edges, t_s)]
+
+            alpha_s = field_amplitude(drive, t_s)
+            h_s = np.array([lab_hamiltonian(a, t) for a, t in zip(alpha_s, t_s)])
+            _, vecs = np.linalg.eigh(h_s)
+            cols = np.argsort(np.argmax(np.abs(vecs[0]), axis=0))
+            prev = vecs[0][:, cols]
+            pops = [np.abs(prev.conj().T @ psis[0]) ** 2]
+            for j in range(1, len(t_s)):
+                cols, _, _ = match_branches(prev, vecs[j])
+                prev = vecs[j][:, cols]
+                pops.append(np.abs(prev.conj().T @ psis[j]) ** 2)
+            assert np.max(np.abs(np.array(pops) - trace.populations)) < 1e-9
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the bonds carry alpha, not conj(alpha): a drive at omega_d acts at 2*omega_r - omega_d",
+    )
+    def test_drive_at_qubit_frequency_excites_qubit(self, ref_strip):
+        # a weak drive with its field resonant at the qubit frequency Rabi-flips
+        # 0 -> 1; today only one at the mirror frequency 2*omega_r - omega_q does
+        omega_q = ref_strip.eigen.qubit_frequency
+        drive = DriveConfig(
+            epsilon=0.0005,
+            omega_d=omega_q,
+            omega_r_dressed=omega_q,
+            kappa=KAPPA,
+            duration=100.0,
         )
-        a1, a2 = CF4_WEIGHTS
-        stack = np.stack(
-            (a2 * h_nodes[:, 0] + a1 * h_nodes[:, 1], a1 * h_nodes[:, 0] + a2 * h_nodes[:, 1]),
-            axis=1,
-        ).reshape(-1, 20, 20)
-        t_s = np.arange(0, 1001, 10) * 0.01
-        psis = evolve_piecewise_constant(stack, np.repeat(h, 2), np.eye(20)[0], 2)
-        psis = psis[np.searchsorted(edges, t_s)]
-
-        alpha_s = field_amplitude(drive, t_s)
-        h_s = np.array([lab_hamiltonian(a, t) for a, t in zip(alpha_s, t_s)])
-        _, vecs = np.linalg.eigh(h_s)
-        cols = np.argsort(np.argmax(np.abs(vecs[0]), axis=0))
-        prev = vecs[0][:, cols]
-        pops = [np.abs(prev.conj().T @ psis[0]) ** 2]
-        for j in range(1, len(t_s)):
-            cols, _, _ = match_branches(prev, vecs[j])
-            prev = vecs[j][:, cols]
-            pops.append(np.abs(prev.conj().T @ psis[j]) ** 2)
-        assert np.max(np.abs(np.array(pops) - trace.populations)) < 1e-9
+        trace = propagate(SimulationConfig(strip=ref_strip, drive=drive))
+        assert np.max(trace.populations[:, 1]) > 0.9
 
     def test_config_validation(self, ref_strip, ref_drive):
         with pytest.raises(ValueError):
@@ -358,30 +375,26 @@ class TestPiecewiseConstantEvolver:
         expected = expm(-2j * np.pi * h * steps * dt) @ psi0
         assert np.allclose(out[-1], expected, atol=1e-10)
 
-    @pytest.mark.parametrize("with_frame", [False, True])
-    def test_block_columns_equal_single_runs(self, with_frame):
+    def test_block_columns_equal_single_runs(self):
         rng = np.random.default_rng(11)
         steps, k, m = 40, 6, 3
         raw = rng.normal(size=(steps, k, k)) + 1j * rng.normal(size=(steps, k, k))
         stack = (raw + raw.conj().transpose(0, 2, 1)) / 2
-        frame = np.exp(1j * rng.uniform(0, 2 * np.pi, (steps, k))) if with_frame else None
         block = rng.normal(size=(k, m)) + 1j * rng.normal(size=(k, m))
-        out = evolve_piecewise_constant(stack, 0.02, block, 7, frame)
+        out = evolve_piecewise_constant(stack, 0.02, block, 7)
         assert out.shape == (1 + steps // 7 + 1, k, m)  # start, every 7th step, end
         for j in range(m):
-            single = evolve_piecewise_constant(stack, 0.02, block[:, j], 7, frame)
+            single = evolve_piecewise_constant(stack, 0.02, block[:, j], 7)
             assert np.array_equal(out[:, :, j], single)
 
-    @pytest.mark.parametrize("with_frame", [False, True])
-    def test_per_step_dt_array_equals_scalar(self, with_frame):
+    def test_per_step_dt_array_equals_scalar(self):
         rng = np.random.default_rng(5)
         steps, k = 30, 4
         raw = rng.normal(size=(steps, k, k)) + 1j * rng.normal(size=(steps, k, k))
         stack = (raw + raw.conj().transpose(0, 2, 1)) / 2
-        frame = np.exp(1j * rng.uniform(0, 2 * np.pi, (steps, k))) if with_frame else None
         psi0 = np.eye(k)[:, :2]
-        scalar = evolve_piecewise_constant(stack, 0.03, psi0, 4, frame)
-        per_step = evolve_piecewise_constant(stack, np.full(steps, 0.03), psi0, 4, frame)
+        scalar = evolve_piecewise_constant(stack, 0.03, psi0, 4)
+        per_step = evolve_piecewise_constant(stack, np.full(steps, 0.03), psi0, 4)
         assert np.array_equal(scalar, per_step)
 
 

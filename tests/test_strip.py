@@ -1,16 +1,18 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mistsim import strip
 from mistsim.analysis import n_crit
+from mistsim.dynamics import _frame_rate
+from mistsim.field import field_amplitude
 from mistsim.strip import (
     CrossingRecord,
     SpectrumResult,
     StripConfig,
     bond_amplitudes,
-    bond_phase,
     effective_hamiltonian,
     fan_diagram,
     find_avoided_crossings,
@@ -23,7 +25,7 @@ from mistsim.strip import (
 from mistsim.sweep import SweepConfig, strip_for_detuning
 from mistsim.transmon import TransmonEigen, TransmonParams, diagonalize, ej_for_frequency
 
-from conftest import E_C, K_EFF, OMEGA_R, REF_DELTA
+from conftest import E_C, EPSILON, K_EFF, OMEGA_R, REF_DELTA
 
 
 def sequential_tracker(config, nbar):
@@ -65,32 +67,28 @@ class TestEffectiveHamiltonian:
         assert h[4, 5] == 0.0 and h[5, 6] == 0.0
         assert h[3, 4] != 0.0
 
-    def test_resonant_frame_is_time_independent(self, ref_strip):
-        alpha = 2.0 - 1.3j
-        assert np.array_equal(
-            bond_phase(ref_strip, OMEGA_R, alpha, abs(alpha), 0.0),
-            bond_phase(ref_strip, OMEGA_R, alpha, abs(alpha), 17.3),
-        )
-
-    def test_detuned_frame_rotates(self, ref_strip):
-        # the resonator-frame amplitude of a drive 10 MHz below omega_r
-        units = (bond_phase(ref_strip, OMEGA_R - 0.01, 2.0, 2.0, t) for t in (0.0, 10.0))
-        h0, h1 = (effective_hamiltonian(ref_strip, 2.0 * u) for u in units)
-        assert not np.allclose(h0, h1)
-        assert np.allclose(np.diag(h0), np.diag(h1))
-
-    def test_bond_phase_is_field_phase_plus_detuning_winding(self, ref_strip):
-        # h[k, k+1] = |bond_k| * (alpha/|alpha|) * exp(+i*2*pi*(omega_r - omega_d)*t)
-        alpha, t = 5.0 * np.exp(0.4j), 10.0  # nbar = 25 keeps every bond open
-        k = np.arange(ref_strip.level_count - 1)
-        magnitude = effective_hamiltonian(ref_strip, abs(alpha))[k, k + 1]
-        assert np.all(magnitude.real > 0) and np.all(magnitude.imag == 0)
-        phase = np.exp(1j * (0.4 + 2 * np.pi * 0.01 * t))
-        unit = bond_phase(ref_strip, OMEGA_R - 0.01, alpha, abs(alpha), t)
-        assert np.isclose(unit, phase, rtol=1e-12, atol=0)
-        h = effective_hamiltonian(ref_strip, abs(alpha) * unit)
-        assert np.allclose(h[k, k + 1], phase * magnitude, rtol=1e-12, atol=0)
-        assert np.allclose(h[k + 1, k], np.conj(phase) * magnitude, rtol=1e-12, atol=0)
+    @pytest.mark.parametrize("kind", ["resonant", "dressed", "field_detuned", "tabulated"])
+    def test_frame_rate_is_bond_phase_rate(self, ref_drive, kind):
+        # the propagation frame turns at the rate of the bond phase
+        # u(t) = (alpha/|alpha|) * exp(i*2*pi*(omega_r - omega_d)*t)
+        drive = {
+            "resonant": ref_drive,
+            "dressed": replace(ref_drive, omega_d=4.745, omega_r_dressed=4.745),
+            "field_detuned": replace(ref_drive, omega_r_dressed=OMEGA_R + 0.003),
+            "tabulated": replace(
+                ref_drive,
+                omega_d=OMEGA_R - 0.01,
+                omega_r_dressed=OMEGA_R - 0.005,
+                envelope=(np.array([0.0, 4.0, 10.0]), EPSILON * np.array([0, 1, 0.7])),
+            ),
+        }[kind]
+        t, h = np.array([0.3, 1.7, 3.1, 5.5, 8.9, 37.0]), 1e-4
+        alpha = field_amplitude(drive, t)
+        rate = _frame_rate(OMEGA_R, drive, t, alpha, np.abs(alpha) ** 2)
+        theta = 2 * np.pi * (OMEGA_R - drive.omega_d)
+        wound = [field_amplitude(drive, s) * np.exp(1j * theta * s) for s in (t - h, t + h)]
+        before, after = np.unwrap(np.angle(wound), axis=0)
+        assert np.allclose(rate, (after - before) / (2 * h), rtol=1e-6, atol=0)
 
     def test_hermitian(self, ref_strip):
         h = effective_hamiltonian(ref_strip, 1.7 * np.exp(0.6j))
