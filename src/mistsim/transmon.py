@@ -6,11 +6,11 @@ rad/ns) happens only inside time propagation, never here.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "TransmonParams",
@@ -197,9 +197,11 @@ def ej_for_frequency(
 ) -> float:
     """Junction energy E_J (GHz) whose 0-1 transition equals the target at n_g = 0.
 
-    Solved by bracketed root finding seeded with the transmon-limit estimate
-    E_J ~ (target + E_C)^2 / (8 E_C); the 0-1 frequency is monotone in E_J, so
-    the root is unique. Converged to better than 1 kHz on the frequency.
+    Solved by Brent's method on a bracket seeded with the transmon-limit
+    estimate E_J ~ (target + E_C)^2 / (8 E_C); the 0-1 frequency is monotone
+    in E_J, so the root is unique. The root matches scipy's ``brentq`` with the
+    same bracket and tolerances bit for bit. Converged to better than 1 kHz on
+    the frequency.
     """
     params = TransmonParams(e_c=e_c, e_j=0.0, charge_cutoff=charge_cutoff, level_count=2)
     if not 0 < target_omega_q < np.inf:
@@ -207,32 +209,102 @@ def ej_for_frequency(
 
     def freq_error(e_j: float) -> float:
         evals, _ = _eigensystem(replace(params, e_j=e_j))
-        return (evals[1] - evals[0]) - target_omega_q
+        return float((evals[1] - evals[0]) - target_omega_q)
 
     seed = (target_omega_q + e_c) ** 2 / (8.0 * e_c)
     lo, hi = 0.5 * seed, 2.0 * seed
+    f_lo = freq_error(lo)
     for _ in range(60):
-        if freq_error(lo) <= 0:
+        if f_lo <= 0:
             break
         lo *= 0.5
+        f_lo = freq_error(lo)
+    f_hi = freq_error(hi)
     for _ in range(60):
-        if freq_error(hi) >= 0:
+        if f_hi >= 0:
             break
         hi *= 2.0
-    f_lo, f_hi = freq_error(lo), freq_error(hi)
+        f_hi = freq_error(hi)
     if f_lo > 0 or f_hi < 0:
         raise ValueError(
             f"target {target_omega_q} GHz not bracketed; achievable range at "
             f"E_J in [{lo:.4g}, {hi:.4g}] GHz is "
             f"[{f_lo + target_omega_q:.6g}, {f_hi + target_omega_q:.6g}] GHz"
         )
-    e_j = brentq(freq_error, lo, hi, xtol=1e-10, rtol=8.9e-16)
-    residual = abs(freq_error(e_j))
+    e_j, f_root = _brentq(freq_error, lo, hi, f_lo, f_hi, xtol=1e-10, rtol=8.9e-16)
+    residual = abs(f_root)
     if residual > 1e-6:
         raise RuntimeError(
             f"root finding left a residual of {residual:.3g} GHz (> 1 kHz)"
         )
     return float(e_j)
+
+
+def _brentq(f, xa, xb, fa, fb, xtol, rtol, maxiter=100):
+    """Root of ``f`` between ``xa`` and ``xb`` by Brent's method; returns (x, f(x)).
+
+    A port of scipy's ``brentq.c`` (Brent 1973, *Algorithms for Minimization
+    Without Derivatives*, ch. 4), branch for branch and operation for
+    operation, so it returns the same double. ``fa`` and ``fb`` are f at the
+    ends, already evaluated by the caller. As in ``scipy.optimize.brentq``, a
+    NaN value of f and a bracket whose ends share a sign raise ValueError, and
+    no convergence within ``maxiter`` steps raises RuntimeError.
+    """
+
+    def checked(x, fx):
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = xa, xb
+    fpre, fcur = checked(xa, fa), checked(xb, fb)
+    if fpre == 0:
+        return xpre, fpre
+    if fcur == 0:
+        return xcur, fcur
+    # both are non-zero and not NaN, so the sign bit is the sign
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur, fcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                # bisect
+                spre = scur = sbis
+        else:
+            # bisect
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = checked(xcur, f(xcur))
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 def charge_dispersion(params: TransmonParams, level: int) -> float:

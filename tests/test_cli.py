@@ -1,10 +1,15 @@
 import argparse
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mistsim
 from mistsim.cli import _build_config, build_parser, main
 from mistsim.sweep import SweepConfig
 
@@ -331,3 +336,17 @@ class TestErrorHandling:
             main(["--version"])
         assert exc.value.code == 0
         assert "mistsim" in capsys.readouterr().out
+
+
+class TestStartup:
+    def test_import_loads_no_scipy(self):
+        # scipy.optimize alone used to cost 0.4 s and 45 MB of every start-up
+        code = (
+            "import sys, mistsim, mistsim.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(mistsim.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"

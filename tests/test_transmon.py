@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from scipy.optimize import brentq
 
+from mistsim.sweep import SweepConfig
 from mistsim.transmon import (
     TransmonParams,
+    _brentq,
     build_charge_hamiltonian,
     charge_dispersion,
     diagonalize,
@@ -184,8 +187,14 @@ class TestEjForFrequency:
         assert abs(eigen.qubit_frequency - target) < 1e-6
 
     def test_unreachable_target_reports_range(self):
-        with pytest.raises(ValueError, match="achievable range"):
+        # the ends and values are those of the last halving and the first doubling
+        message = (
+            "target 0.1 GHz not bracketed; achievable range at E_J in "
+            "[2.415e-20, 0.1114] GHz is [0.776, 0.782592] GHz"
+        )
+        with pytest.raises(ValueError) as exc:
             ej_for_frequency(0.194, 0.1)
+        assert str(exc.value) == message
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -198,6 +207,88 @@ class TestEjForFrequency:
         # NaN passed `target <= 0` and failed later, in an error naming e_j
         with pytest.raises(ValueError, match=f"positive and finite, got {target}"):
             ej_for_frequency(E_C, target)
+
+
+def _scipy_ej(e_c, target):
+    """E_J from scipy's brentq on the bracket that ej_for_frequency searches."""
+
+    def freq_error(e_j):
+        h = build_charge_hamiltonian(TransmonParams(e_c=e_c, e_j=e_j, level_count=2))
+        evals, _ = np.linalg.eigh(h)
+        return (evals[1] - evals[0]) - target
+
+    seed = (target + e_c) ** 2 / (8.0 * e_c)
+    lo, hi = 0.5 * seed, 2.0 * seed
+    for _ in range(60):
+        if freq_error(lo) <= 0:
+            break
+        lo *= 0.5
+    for _ in range(60):
+        if freq_error(hi) >= 0:
+            break
+        hi *= 2.0
+    return brentq(freq_error, lo, hi, xtol=1e-10, rtol=8.9e-16)
+
+
+_RNG = np.random.default_rng(16)
+EJ_TARGETS = {
+    "desk": [(E_C, OMEGA_R + round(0.8 + 0.05 * i, 10)) for i in range(13)],
+    "default": [(E_C, OMEGA_R + delta) for delta in SweepConfig().delta_grid],
+    "random": list(zip(_RNG.uniform(0.1, 0.4, 60).tolist(), _RNG.uniform(2.0, 9.0, 60).tolist())),
+}
+
+
+class TestBrentq:
+    @pytest.mark.parametrize("grid", sorted(EJ_TARGETS))
+    def test_ej_equals_scipy_bit_for_bit(self, grid):
+        targets = EJ_TARGETS[grid]
+        ours = [ej_for_frequency(e_c, target) for e_c, target in targets]
+        assert ours == [_scipy_ej(e_c, target) for e_c, target in targets]
+
+    @pytest.mark.parametrize(
+        "f, a, b",
+        [
+            (lambda x: x**3 - 2 * x - 5, 2.0, 3.0),
+            (lambda x: np.cos(x) - x, 0.0, 1.0),
+            (lambda x: x**9 - 0.5, 0.0, 1.5),
+            (lambda x: np.tanh(20 * (x - 0.3)), -1.0, 4.0),
+        ],
+        ids=["cubic", "cos", "steep", "step"],
+    )
+    @pytest.mark.parametrize("xtol, rtol", [(2e-12, 8.881784197001252e-16), (1e-10, 8.9e-16), (1e-3, 1e-6)])
+    def test_root_equals_scipy_bit_for_bit(self, f, a, b, xtol, rtol):
+        root, f_root = _brentq(f, a, b, f(a), f(b), xtol, rtol)
+        assert root == brentq(f, a, b, xtol=xtol, rtol=rtol)
+        assert f_root == f(root)
+
+    @staticmethod
+    def _same_error(exc_type, f, a, b, maxiter=100):
+        with pytest.raises(exc_type) as ref:
+            brentq(f, a, b, xtol=1e-10, rtol=8.9e-16, maxiter=maxiter)
+        with pytest.raises(exc_type) as ours:
+            _brentq(f, a, b, f(a), f(b), 1e-10, 8.9e-16, maxiter)
+        assert str(ours.value) == str(ref.value)
+
+    def test_nan_at_an_end_raises(self):
+        self._same_error(ValueError, lambda x: np.nan if x < 0.5 else x, 0.0, 1.0)
+
+    def test_nan_inside_raises(self):
+        self._same_error(ValueError, lambda x: x - 0.5 if x in (0.0, 1.0) else np.nan, 0.0, 1.0)
+
+    def test_same_sign_bracket_raises(self):
+        self._same_error(ValueError, lambda x: x + 1.0, 0.0, 1.0)
+
+    def test_no_convergence_raises(self):
+        self._same_error(RuntimeError, lambda x: x**3 - 2, 0.0, 2.0, maxiter=2)
+
+    @pytest.mark.parametrize("at_a", [True, False])
+    def test_zero_at_an_end_is_the_root(self, at_a):
+        def never(x):
+            raise AssertionError("f evaluated again")
+
+        f_a, f_b = (0.0, 3.0) if at_a else (-3.0, 0.0)
+        assert _brentq(never, 1.0, 2.0, f_a, f_b, 1e-10, 8.9e-16) == ((1.0 if at_a else 2.0), 0.0)
+        assert brentq(lambda x: f_a if x == 1.0 else f_b, 1.0, 2.0) == (1.0 if at_a else 2.0)
 
 
 class TestChargeDispersion:
