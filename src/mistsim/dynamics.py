@@ -12,8 +12,7 @@ so both nodes of a step lie on the same side of every kink. Populations of
 the instantaneous eigenstates are sampled on grid edges every
 ``sample_stride`` steps, with branch identity carried from the bare labels at
 alpha = 0 by maximal eigenvector overlap. ``evolve_piecewise_constant`` is
-the one step kernel, and ``member_survival`` the one survival computation
-behind both the sweep and ``charge_averaged_survival``.
+the one step kernel.
 
 The propagation runs in the drive's frame. Under the field every bond of the
 strip Hamiltonian carries the phase u(t) = (alpha/|alpha|) *
@@ -31,20 +30,21 @@ state. ``propagate_states`` therefore builds, diagonalizes and branch-tracks
 both stacks once and carries every prepared state through them as one stack
 of columns. Each column still gets its own matrix-vector product at every
 step and sample, so its numbers are bitwise those of a one-state run.
-``propagate`` is its one-state form, and ``member_survival`` takes all states
-of one (strip, drive) point together.
+``propagate`` is its one-state form. This module propagates one member at
+the offset charge its strip was diagonalized at; ``sweep`` owns the charge
+grid and the average over it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .field import DriveConfig, _alpha_slope, field_amplitude, level_crossings
 from .output import write_table
 from .strip import StripConfig, bond_amplitudes, tracked_eigenbasis, tridiagonal_stack
-from .transmon import _check_integer, diagonalize
+from .transmon import _check_integer
 
 __all__ = [
     "SimulationConfig",
@@ -53,13 +53,10 @@ __all__ = [
     "propagate",
     "propagate_states",
     "survival_vs_nbar",
-    "member_survival",
-    "charge_averaged_survival",
     "evolve_piecewise_constant",
 ]
 
 NORM_TOL = 1e-6
-DEFAULT_NG_GRID = tuple(round(-0.50 + 0.05 * i, 10) for i in range(11))
 MAX_DT = 0.05  # ns
 # CF4 Gauss nodes (fractions of a step) and exponent weights a1, a2
 CF4_NODES = np.array([0.5 - np.sqrt(3) / 6, 0.5 + np.sqrt(3) / 6])
@@ -88,6 +85,10 @@ def _check_step(dt: float, sample_stride: int, duration: float) -> None:
     # the step grid ends at round(duration / dt) * dt; it must end with the pulse
     if abs(round(duration / dt) * dt - duration) > EDGE_MERGE_TOL:
         raise ValueError(f"dt = {dt} ns does not divide the duration {duration} ns")
+    _check_stride(sample_stride)
+
+
+def _check_stride(sample_stride: int) -> None:
     _check_integer("sample_stride", sample_stride)
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
@@ -155,6 +156,7 @@ def evolve_piecewise_constant(
     bitwise the one-state result for ``psi0[:, j]``. A (K, m) matrix-matrix
     product (gemm) would round differently, by up to 3.5e-15.
     """
+    _check_stride(sample_stride)
     steps = hamiltonians.shape[0]
     evals, evecs = np.linalg.eigh(hamiltonians)
     evecs_h = evecs.conj().transpose(0, 2, 1)  # a view when the stack is real
@@ -312,56 +314,4 @@ def survival_vs_nbar(trace: PopulationTrace) -> SurvivalCurve:
     running_min = np.minimum.accumulate(trace.survival)
     return SurvivalCurve(
         nbar_axis=trace.nbar.copy(), survival_running_min=running_min
-    )
-
-
-def member_survival(
-    config: SimulationConfig, states, nbar_axis: np.ndarray
-) -> list[np.ndarray]:
-    """Running-minimum survival of each state in ``states``, on ``nbar_axis``.
-
-    One curve per state, in order; each is the (strip, drive, state) member's.
-    """
-    curves = [survival_vs_nbar(trace) for trace in propagate_states(config, states)]
-    return [np.interp(nbar_axis, c.nbar_axis, c.survival_running_min) for c in curves]
-
-
-def _rebuild_at_offset_charge(config: SimulationConfig, n_g: float) -> SimulationConfig:
-    """``config`` with its transmon re-diagonalized at offset charge ``n_g``."""
-    params = config.strip.eigen.provenance
-    if params is None:
-        raise ValueError(
-            "strip carries no transmon provenance; cannot re-diagonalize at "
-            "other offset charges"
-        )
-    eigen = diagonalize(replace(params, n_g=n_g))
-    return replace(config, strip=replace(config.strip, eigen=eigen))
-
-
-def charge_averaged_survival(
-    base: SimulationConfig,
-    n_g_grid: np.ndarray | None = None,
-    nbar_axis: np.ndarray | None = None,
-) -> SurvivalCurve:
-    """Uniform average of survival curves over an offset-charge grid.
-
-    Member curves are interpolated onto a common photon-number axis (the
-    members' own sample-time axis unless one is given) and averaged with equal
-    weights.
-    """
-    if n_g_grid is None:
-        n_g_grid = DEFAULT_NG_GRID
-    if nbar_axis is None:
-        t_s = _sample_times(base.drive.duration, base.dt, base.sample_stride)
-        nbar_axis = np.abs(field_amplitude(base.drive, t_s)) ** 2
-    members = []
-    for n_g in n_g_grid:
-        try:
-            cfg = _rebuild_at_offset_charge(base, float(n_g))
-            members.append(member_survival(cfg, [base.initial_state], nbar_axis)[0])
-        except Exception as exc:
-            raise RuntimeError(f"member simulation failed at n_g={n_g}") from exc
-    return SurvivalCurve(
-        nbar_axis=np.asarray(nbar_axis, float),
-        survival_running_min=np.stack(members).mean(axis=0),
     )

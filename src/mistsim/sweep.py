@@ -1,14 +1,15 @@
 """Detuning x offset-charge x initial-state sweeps with parallel workers.
 
+This module owns the offset-charge grid and the average over it.
 ``SweepConfig.simulation`` is the one place a sweep config becomes a
-propagation job. Every (delta, n_g) point is one task, carrying its
-detuning's frozen base member (built once per detuning, at the first grid
-charge). A worker rebuilds the base at its n_g, as ``charge_averaged_survival``
-does, and one ``member_survival`` call propagates all initial states through
-the point's shared Hamiltonian stack, returning a curve per (delta, n_g,
-state) member. Workers are stateless and results are collected in task
-order, so the output is identical for any worker count. Wall-clock metadata
-is kept out of the result files to preserve that.
+propagation job, and ``_point_survival`` the one point computation: it
+re-diagonalizes a detuning's base member at one n_g and propagates all
+initial states through the point's shared Hamiltonian stack, returning a
+curve per (delta, n_g, state) member. ``run_sweep`` maps it over every
+(delta, n_g) point, n_g fastest; ``charge_averaged_survival`` loops it over
+one member's charges. Workers are stateless and results are collected in
+point order, so the output is identical for any worker count. Wall-clock
+metadata is kept out of the result files to preserve that.
 """
 
 from __future__ import annotations
@@ -26,14 +27,13 @@ import numpy as np
 from . import __version__
 from .analysis import OnsetPoint, TransitionBoundary, boundary_to_dict, extract_onsets, fit_boundary
 from .dynamics import (
-    DEFAULT_NG_GRID,
     SimulationConfig,
     SurvivalCurve,
     _check_state,
     _check_step,
-    _rebuild_at_offset_charge,
     _sample_times,
-    member_survival,
+    propagate_states,
+    survival_vs_nbar,
 )
 from .field import DriveConfig, field_amplitude
 from .output import provenance, write_json, write_table
@@ -47,10 +47,21 @@ __all__ = [
     "run_oracle_check",
     "config_hash",
     "strip_for_detuning",
+    "charge_averaged_survival",
 ]
+
+DEFAULT_NG_GRID = tuple(round(-0.50 + 0.05 * i, 10) for i in range(11))
 
 # the float settings that no part of a member checks
 _FLOAT_SETTINGS = ("omega_r", "delta_grid", "n_g_grid", "dt", "threshold", "nbar_step")
+
+
+def _check_charges(n_g_grid) -> None:
+    """Reject an empty charge grid, or a repeated charge: it would weigh double."""
+    if len(n_g_grid) == 0:
+        raise ValueError("n_g_grid must be non-empty")
+    if len(set(n_g_grid)) != len(n_g_grid):
+        raise ValueError(f"n_g_grid must not repeat, got {n_g_grid}")
 
 
 def _default_delta_grid() -> list[float]:
@@ -96,8 +107,9 @@ class SweepConfig:
         _check_coupling(self.g, self.k_eff)
         # the transmon's own checks, without solving for E_J
         TransmonParams(self.e_c, 0.0, 0.0, self.charge_cutoff, self.level_count)
-        if len(self.delta_grid) == 0 or len(self.n_g_grid) == 0 or len(self.initial_states) == 0:
-            raise ValueError("delta_grid, n_g_grid and initial_states must be non-empty")
+        if len(self.delta_grid) == 0 or len(self.initial_states) == 0:
+            raise ValueError("delta_grid and initial_states must be non-empty")
+        _check_charges(self.n_g_grid)
         if any(b <= a for a, b in zip(self.delta_grid, self.delta_grid[1:])):
             raise ValueError("delta_grid must be strictly ascending")
         if not self.nbar_step > 0:
@@ -232,22 +244,17 @@ class SweepResult:
         write_json(os.path.join(out_dir, "run_info.json"), self.metadata)
 
 
-def _task_point(config: SweepConfig, task: int) -> tuple[float, float]:
-    """(delta, n_g) of sweep task ``task``; tasks run n_g fastest."""
-    i, k = divmod(task, len(config.n_g_grid))
-    return config.delta_grid[i], config.n_g_grid[k]
-
-
 def _write_failure_artifacts(
     config: SweepConfig,
+    points: list[tuple[float, float]],
     nbar_axis: np.ndarray,
     members: np.ndarray,
     done: int,
     exc: Exception,
 ) -> None:
-    """Curves of the ``done`` completed tasks plus a manifest naming the next."""
+    """Curves of the ``done`` completed points plus a manifest naming the next."""
     os.makedirs(config.out_dir, exist_ok=True)
-    delta, n_g = _task_point(config, done)
+    delta, n_g = points[done]
     manifest = {
         "failed": {
             "delta": delta,
@@ -259,17 +266,57 @@ def _write_failure_artifacts(
     }
     write_json(os.path.join(config.out_dir, "failure_manifest.json"), manifest)
     arrays = {"nbar_axis": nbar_axis}
-    for task in range(done):
-        delta, n_g = _task_point(config, task)
-        for state, curve in zip(config.initial_states, members[task]):
+    for (delta, n_g), curves in zip(points[:done], members):
+        for state, curve in zip(config.initial_states, curves):
             arrays[f"delta{delta}_ng{n_g}_state{state}"] = curve
     np.savez(os.path.join(config.out_dir, "partial_curves.npz"), **arrays)
 
 
-def _sweep_worker(task) -> list[np.ndarray]:
-    """Survival curves of one (delta, n_g) point, one per state in ``task[2]``."""
+def _point_survival(task) -> list[np.ndarray]:
+    """Survival curves of one (delta, n_g) point, one per state in ``task[2]``.
+
+    ``task`` is (base, n_g, states, nbar_axis); ``base`` is re-diagonalized at n_g.
+    """
     base, n_g, states, nbar_axis = task
-    return member_survival(_rebuild_at_offset_charge(base, n_g), states, nbar_axis)
+    params = base.strip.eigen.provenance
+    if params is None:
+        raise ValueError(
+            "strip carries no transmon provenance; cannot re-diagonalize at "
+            "other offset charges"
+        )
+    strip = replace(base.strip, eigen=diagonalize(replace(params, n_g=n_g)))
+    curves = map(survival_vs_nbar, propagate_states(replace(base, strip=strip), states))
+    return [np.interp(nbar_axis, c.nbar_axis, c.survival_running_min) for c in curves]
+
+
+def charge_averaged_survival(
+    base: SimulationConfig,
+    n_g_grid: np.ndarray | None = None,
+    nbar_axis: np.ndarray | None = None,
+) -> SurvivalCurve:
+    """Uniform average of survival curves over an offset-charge grid.
+
+    Member curves are interpolated onto a common photon-number axis (the
+    members' own sample-time axis unless one is given) and averaged with equal
+    weights. Each member is the sweep's point computation at one charge.
+    """
+    if n_g_grid is None:
+        n_g_grid = DEFAULT_NG_GRID
+    _check_charges(n_g_grid)
+    if nbar_axis is None:
+        t_s = _sample_times(base.drive.duration, base.dt, base.sample_stride)
+        nbar_axis = np.abs(field_amplitude(base.drive, t_s)) ** 2
+    members = []
+    for n_g in n_g_grid:
+        try:
+            task = (base, float(n_g), [base.initial_state], nbar_axis)
+            members.append(_point_survival(task)[0])
+        except Exception as exc:
+            raise RuntimeError(f"member simulation failed at n_g={n_g}") from exc
+    return SurvivalCurve(
+        nbar_axis=np.asarray(nbar_axis, float),
+        survival_running_min=np.stack(members).mean(axis=0),
+    )
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
@@ -284,28 +331,27 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     config = replace(config)
     nbar_axis = config.nbar_axis()
     states = list(config.initial_states)
-    tasks = []
-    for delta in config.delta_grid:
-        base = config.simulation(delta, config.n_g_grid[0])
-        tasks.extend((base, n_g, states, nbar_axis) for n_g in config.n_g_grid)
+    points = [(delta, n_g) for delta in config.delta_grid for n_g in config.n_g_grid]
+    bases = {delta: config.simulation(delta, config.n_g_grid[0]) for delta in config.delta_grid}
+    tasks = [(bases[delta], n_g, states, nbar_axis) for delta, n_g in points]
 
-    # one row of curves per task, in task order
-    members = np.empty((len(tasks), len(states), len(nbar_axis)))
+    # one row of curves per point, in point order
+    members = np.empty((len(points), len(states), len(nbar_axis)))
     done = 0
     try:
         with ExitStack() as stack:
             if config.workers == 1:
-                results = map(_sweep_worker, tasks)
+                results = map(_point_survival, tasks)
             else:
                 pool = stack.enter_context(Pool(min(config.workers, len(tasks))))
-                results = pool.imap(_sweep_worker, tasks)
+                results = pool.imap(_point_survival, tasks)
             for curves in results:
                 members[done] = curves
                 done += 1
     except Exception as exc:
         if config.out_dir:
-            _write_failure_artifacts(config, nbar_axis, members, done, exc)
-        delta, n_g = _task_point(config, done)
+            _write_failure_artifacts(config, points, nbar_axis, members, done, exc)
+        delta, n_g = points[done]
         coordinates = ", ".join(f"state={state}" for state in states)
         raise RuntimeError(
             f"simulation failed at delta={delta}, n_g={n_g}, {coordinates}"

@@ -9,7 +9,6 @@ from mistsim.dynamics import (
     PopulationTrace,
     SimulationConfig,
     _step_edges,
-    charge_averaged_survival,
     evolve_piecewise_constant,
     propagate,
     propagate_states,
@@ -17,7 +16,7 @@ from mistsim.dynamics import (
 )
 from mistsim.field import DriveConfig, field_amplitude, level_crossings
 from mistsim.strip import StripConfig
-from mistsim.sweep import SweepConfig, strip_for_detuning
+from mistsim.sweep import SweepConfig, charge_averaged_survival, strip_for_detuning
 from mistsim.transmon import TransmonEigen
 
 from conftest import EPSILON, KAPPA, OMEGA_R
@@ -341,6 +340,21 @@ class TestLevelCrossings:
 
 
 class TestPiecewiseConstantEvolver:
+    @pytest.mark.parametrize(
+        "stride, match",
+        [
+            (0, "sample_stride must be >= 1"),
+            (-1, "sample_stride must be >= 1"),
+            (2.5, "sample_stride must be an integer"),
+            (True, "sample_stride must be an integer"),
+        ],
+    )
+    def test_bad_sample_stride_rejected(self, stride, match):
+        # 0 divided by zero, -1 sampled every step, 2.5 only the two ends
+        stack = np.broadcast_to(np.diag([0.0, 0.5]), (10, 2, 2))
+        with pytest.raises(ValueError, match=match):
+            evolve_piecewise_constant(stack, 0.01, np.array([1.0, 0.0]), stride)
+
     def test_constant_hamiltonian_phase_exact(self):
         h = np.diag([0.0, 0.5])
         stack = np.broadcast_to(h, (100, 2, 2))
@@ -477,3 +491,13 @@ class TestChargeAveraging:
         sim = SimulationConfig(strip=strip, drive=ref_drive)
         with pytest.raises(RuntimeError, match="n_g"):
             charge_averaged_survival(sim, n_g_grid=np.array([0.0, 0.1]))
+
+    @pytest.mark.parametrize(
+        "n_g_grid, match",
+        [([], "n_g_grid must be non-empty"), ([0.2, 0.2], "n_g_grid must not repeat")],
+    )
+    def test_bad_grid_rejected(self, ref_sim, n_g_grid, match):
+        # an empty grid ended in numpy's "need at least one array to stack",
+        # and a repeated charge weighed double
+        with pytest.raises(ValueError, match=match):
+            charge_averaged_survival(ref_sim, n_g_grid=n_g_grid)

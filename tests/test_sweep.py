@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 import mistsim.sweep as sweep_mod
-from mistsim.dynamics import charge_averaged_survival
 from mistsim.strip import effective_hamiltonian, jtc_strip_hamiltonian
 from mistsim.sweep import (
     SweepConfig,
+    charge_averaged_survival,
     config_hash,
     run_oracle_check,
     run_sweep,
@@ -91,26 +91,26 @@ class TestRunSweep:
             assert filecmp.cmp(tmp_path / "plain" / name, tmp_path / "typed" / name, shallow=False)
 
     def test_member_failure_names_coordinates(self, monkeypatch):
-        original = sweep_mod._sweep_worker
+        original = sweep_mod._point_survival
 
         def failing(task):
             if task[1] == -0.25:  # n_g of the injected failure
                 raise np.linalg.LinAlgError("injected")
             return original(task)
 
-        monkeypatch.setattr(sweep_mod, "_sweep_worker", failing)
+        monkeypatch.setattr(sweep_mod, "_point_survival", failing)
         with pytest.raises(RuntimeError, match=r"delta=1.0, n_g=-0.25, state=0"):
             run_sweep(small_config(delta_grid=[1.0]))
 
     def test_failure_writes_partial_results(self, monkeypatch, tmp_path):
-        original = sweep_mod._sweep_worker
+        original = sweep_mod._point_survival
 
         def failing(task):
             if task[1] == 0.0:  # last n_g in the grid fails
                 raise np.linalg.LinAlgError("injected")
             return original(task)
 
-        monkeypatch.setattr(sweep_mod, "_sweep_worker", failing)
+        monkeypatch.setattr(sweep_mod, "_point_survival", failing)
         out = tmp_path / "partial"
         with pytest.raises(RuntimeError):
             run_sweep(small_config(delta_grid=[1.0], out_dir=str(out)))
@@ -121,14 +121,14 @@ class TestRunSweep:
         assert len(partial.files) == 3  # nbar_axis + two completed curves
 
     def test_two_state_failure_names_point_and_states(self, monkeypatch, tmp_path):
-        original = sweep_mod._sweep_worker
+        original = sweep_mod._point_survival
 
         def failing(task):
             if task[1] == -0.25:
                 raise np.linalg.LinAlgError("injected")
             return original(task)
 
-        monkeypatch.setattr(sweep_mod, "_sweep_worker", failing)
+        monkeypatch.setattr(sweep_mod, "_point_survival", failing)
         out = tmp_path / "partial"
         cfg = small_config(
             delta_grid=[1.0], initial_states=[0, 1], duration=20.0, out_dir=str(out)
@@ -179,14 +179,24 @@ class TestRunSweep:
         assert (info["workers"], info["tasks"], info["members"]) == (3, 1, 2)
 
     def test_rows_equal_charge_averaged_survival(self):
-        # the sweep and charge_averaged_survival share one member path
-        cfg = small_config(delta_grid=[1.1], n_g_grid=[-0.5, 0.2], duration=20.0)
-        result = run_sweep(cfg)
-        base = cfg.simulation(1.1)
-        curve = charge_averaged_survival(
-            base, n_g_grid=np.array(cfg.n_g_grid), nbar_axis=result.nbar_axis
+        # the sweep and charge_averaged_survival share one point computation,
+        # also for a two-state point in a turning frame
+        cfg = small_config(
+            delta_grid=[1.1],
+            n_g_grid=[-0.5, 0.2],
+            initial_states=[0, 1],
+            duration=20.0,
+            omega_d=4.745,
+            omega_r_dressed=4.745,
         )
-        assert np.array_equal(result.heatmaps[0][0], curve.survival_running_min)
+        result = run_sweep(cfg)
+        for state in cfg.initial_states:
+            curve = charge_averaged_survival(
+                cfg.simulation(1.1, initial_state=state),
+                n_g_grid=np.array(cfg.n_g_grid),
+                nbar_axis=result.nbar_axis,
+            )
+            assert np.array_equal(result.heatmaps[state][0], curve.survival_running_min), state
 
     def test_output_files_and_headers(self, tmp_path):
         out = tmp_path / "run"
@@ -276,6 +286,7 @@ class TestSweepConfig:
             ({"workers": True}, "workers must be an integer"),
             ({"omega_r": -1.0, "delta_grid": [6.0, 6.5]}, "omega_r must be positive, got -1.0"),
             ({"omega_r": 0.0}, "omega_r must be positive, got 0.0"),
+            ({"n_g_grid": [0.0, 0.0]}, "n_g_grid must not repeat"),
         ],
     )
     def test_rejected_when_built(self, overrides, match, tmp_path):
@@ -295,7 +306,7 @@ class TestSweepConfig:
     )
     def test_field_set_after_construction_is_checked(self, monkeypatch, name, value, match):
         calls = []
-        monkeypatch.setattr(sweep_mod, "_sweep_worker", calls.append)
+        monkeypatch.setattr(sweep_mod, "_point_survival", calls.append)
         cfg = small_config()
         setattr(cfg, name, value)
         with pytest.raises(ValueError, match=match):
