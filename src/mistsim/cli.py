@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .analysis import DispersiveParams, chi, dressed_frequencies, n_crit, stark_to_photons
 from .dynamics import propagate, survival_vs_nbar
-from .field import evolve_field_closed_form
+from .field import evolve_field_numeric
 from .output import json_text, provenance, write_json
 from .strip import fan_diagram, find_avoided_crossings, g_eff_perturbative
 from .sweep import SweepConfig, config_hash, run_oracle_check, run_sweep, strip_for_detuning
@@ -123,13 +123,15 @@ def _cmd_trace(args) -> int:
     survival_vs_nbar(trace).to_csv(
         os.path.join(args.out, "survival.csv"), _header(config, extra)
     )
-    evolve_field_closed_form(sim.drive).to_csv(
+    evolve_field_numeric(sim.drive).to_csv(
         os.path.join(args.out, "field.csv"), _header(config)
     )
     return 0
 
 
 def _cmd_calibrate(args) -> int:
+    if (args.target_level is None) != (args.nbar_cross is None):
+        raise ValueError("--target-level and --nbar-cross must be given together")
     config = _build_config(args)
     strip_cfg = strip_for_detuning(config, args.delta, args.ng)
     eigen = strip_cfg.eigen
@@ -159,8 +161,6 @@ def _cmd_calibrate(args) -> int:
         report["stark_shift"] = args.stark_shift
         report["stark_photons"] = stark_to_photons(args.stark_shift, chi_value)
     if args.target_level is not None:
-        if args.nbar_cross is None:
-            raise ValueError("--target-level requires --nbar-cross")
         report["g_eff"] = g_eff_perturbative(
             strip_cfg, args.target_level, args.nbar_cross
         )

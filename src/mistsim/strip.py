@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .output import write_table
-from .transmon import TransmonEigen, _check_finite
+from .transmon import TransmonEigen, _check_finite, _check_integer
 
 __all__ = [
     "StripConfig",
@@ -167,6 +167,7 @@ def jtc_strip_hamiltonian(config: StripConfig, n_total: int) -> np.ndarray:
     removed; eigenvalues equal those of ``effective_hamiltonian`` at
     |alpha|^2 = N, up to the decoupled bare levels k > N.
     """
+    _check_integer("n_total", n_total)
     if n_total < 0:
         raise ValueError(f"n_total must be >= 0, got {n_total}")
     dim = min(config.level_count, n_total + 1)
@@ -188,7 +189,7 @@ def _row_maxima_assign(overlap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     They are the assignment of a matrix when they are distinct, each row's
     top overlap beats its second by more than ``TIE_TOL`` and every top is at
-    least 0.5: then the greedy search would pick them too, with no flag.
+    least 0.5: then ``match_branches`` returns them too, with no flag.
     Returns (best_cols, ok); ``ok`` has the stack's leading shape.
     """
     best_cols = np.argmax(overlap, axis=-1)
@@ -209,16 +210,9 @@ def match_branches(prev_vecs: np.ndarray, cur_vecs: np.ndarray) -> tuple[np.ndar
     overlap below 0.5 and ``ambiguous`` a greedy pick with a rival within
     ``TIE_TOL`` in its row or column.
     """
-    overlap = np.abs(prev_vecs.conj().T @ cur_vecs)
-    n = overlap.shape[0]
-
-    # fast path: per-row argmax already a contention-free assignment
-    best_cols, ok = _row_maxima_assign(overlap)
-    if ok:
-        return best_cols, False, False
-
+    work = np.abs(prev_vecs.conj().T @ cur_vecs)
+    n = work.shape[0]
     columns = np.full(n, -1, dtype=int)
-    work = overlap.copy()
     low_overlap = False
     ambiguous = False
     for _ in range(n):
@@ -249,14 +243,15 @@ def tracked_eigenbasis(
 
     The overlaps of all consecutive points come from one stacked product of
     the eigenvectors in eigenvalue order. A branch order only permutes the
-    rows of an overlap, which leaves the fast-path test of ``match_branches``
-    unchanged, so the test runs on every point at once and the orders
-    compose as integer permutations. The stacked overlaps may round in the
-    last bit unlike one product per point, but they only decide the test,
-    whose margins (``TIE_TOL``, 0.5) are far wider; the energies and vectors
-    are gathered, not computed. ``match_branches`` runs, on the ordered
-    previous vectors as a point-by-point tracker would call it, only where
-    the test fails, so every order, flag and bit is that tracker's.
+    rows of an overlap, which leaves the row-maxima test unchanged, so the
+    test runs on every point at once and the orders compose as integer
+    permutations; where it accepts, ``match_branches`` would return its
+    columns with no flag. The stacked overlaps may round in the last bit
+    unlike one product per point, but they only decide the test, whose
+    margins (``TIE_TOL``, 0.5) are far wider; the energies and vectors are
+    gathered, not computed. ``match_branches`` runs, on the ordered previous
+    vectors as a point-by-point tracker would call it, only where the test
+    fails, so every order, flag and bit is that tracker's.
     """
     nbar = np.asarray(nbar, float)
     if nbar[0] != 0.0:
@@ -291,8 +286,8 @@ def fan_diagram(config: StripConfig, nbar_grid: np.ndarray) -> SpectrumResult:
     spectrum, so alpha is taken real positive.
     """
     nbar_grid = np.asarray(nbar_grid, float)
-    if np.any(np.diff(nbar_grid) <= 0):
-        raise ValueError("nbar_grid must be sorted strictly ascending")
+    if len(nbar_grid) == 0 or np.any(np.diff(nbar_grid) <= 0):
+        raise ValueError("nbar_grid must be non-empty and sorted strictly ascending")
 
     energies, _, flagged = tracked_eigenbasis(config, nbar_grid)
     branches = energies.T
@@ -345,6 +340,7 @@ def g_eff_perturbative(config: StripConfig, target_level: int, nbar_cross: float
     Product of the m bond couplings divided by the m-1 intermediate bare
     detunings, times nbar^(m/2). Returns the magnitude in GHz.
     """
+    _check_integer("target_level", target_level)
     m = target_level
     if m < 1:
         raise ValueError(f"target_level must be >= 1, got {m}")

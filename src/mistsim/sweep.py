@@ -88,8 +88,8 @@ class SweepConfig:
     delta_grid: list[float] = field(default_factory=_default_delta_grid)
     n_g_grid: list[float] = field(default_factory=lambda: list(DEFAULT_NG_GRID))
     initial_states: list[int] = field(default_factory=lambda: [0, 1])
-    level_count: int = 20
-    charge_cutoff: int = 30
+    level_count: int = TransmonParams.level_count
+    charge_cutoff: int = TransmonParams.charge_cutoff
     dt: float = SimulationConfig.dt
     sample_stride: int = SimulationConfig.sample_stride
     threshold: float = 0.9
@@ -449,6 +449,7 @@ def run_oracle_check(
     """
     if n_max is None:
         n_max = 3 * config.level_count
+    _check_integer("n_max", n_max)
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     # no charge would mean no comparison, and "passed" would claim one

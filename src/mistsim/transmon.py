@@ -59,9 +59,9 @@ class TransmonParams:
     n_g : float
         Dimensionless offset charge. Wrapped into [-0.5, 0.5] on construction.
     charge_cutoff : int
-        Charge basis spans -N..+N.
+        Charge basis spans -N..+N. Its default is the package's one.
     level_count : int
-        Number of eigenstates kept after diagonalization.
+        Eigenstates kept after diagonalization. Its default is the package's one.
     """
 
     e_c: float
@@ -193,7 +193,7 @@ def diagonalize(params: TransmonParams) -> TransmonEigen:
 def ej_for_frequency(
     e_c: float,
     target_omega_q: float,
-    charge_cutoff: int = 30,
+    charge_cutoff: int = TransmonParams.charge_cutoff,
 ) -> float:
     """Junction energy E_J (GHz) whose 0-1 transition equals the target at n_g = 0.
 
@@ -316,7 +316,9 @@ def charge_dispersion(params: TransmonParams, level: int) -> float:
     n_g of ``params`` is ignored.
     """
     n_g_grid = np.linspace(-0.5, 0.5, 21)
-    if level >= params.level_count:
+    _check_integer("level", level)
+    # a negative index would read the top of the charge basis, not a kept level
+    if not 0 <= level < params.level_count:
         raise ValueError(f"level {level} not kept (level_count={params.level_count})")
     values = np.empty(len(n_g_grid))
     for i, n_g in enumerate(n_g_grid):

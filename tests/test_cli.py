@@ -280,6 +280,14 @@ class TestErrorHandling:
             ),
             (["fan", "--nbar-max", "nan"], "--nbar-max must be finite, got nan"),
             (["fan", "--nbar-max", "inf"], "--nbar-max must be finite, got inf"),
+            (
+                ["calibrate", "--nbar-cross", "30"],
+                "--target-level and --nbar-cross must be given together",
+            ),
+            (
+                ["calibrate", "--target-level", "9"],
+                "--target-level and --nbar-cross must be given together",
+            ),
         ],
         ids=[
             "fan-step-zero",
@@ -300,6 +308,8 @@ class TestErrorHandling:
             "calibrate-omega-r-negative-g",
             "fan-max-nan",
             "fan-max-inf",
+            "calibrate-nbar-cross-alone",
+            "calibrate-target-level-alone",
         ],
     )
     def test_bad_number_is_named(self, capsys, tmp_path, argv, detail):

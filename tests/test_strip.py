@@ -140,6 +140,11 @@ class TestLadderStrip:
         with pytest.raises(ValueError):
             jtc_strip_hamiltonian(ref_strip, -1)
 
+    @pytest.mark.parametrize("n_total", [2.5, True, np.float64(3.0)])
+    def test_non_integer_excitations_rejected(self, ref_strip, n_total):
+        with pytest.raises(ValueError, match="n_total must be an integer"):
+            jtc_strip_hamiltonian(ref_strip, n_total)
+
 
 class TestFanDiagram:
     def test_bare_column_exact(self, ref_fan, ref_strip):
@@ -162,6 +167,8 @@ class TestFanDiagram:
             fan_diagram(ref_strip, np.array([1.0, 2.0]))
         with pytest.raises(ValueError, match="ascending"):
             fan_diagram(ref_strip, np.array([0.0, 2.0, 1.0]))
+        with pytest.raises(ValueError, match="nbar_grid must be non-empty"):
+            fan_diagram(ref_strip, [])
 
     def test_csv_export(self, ref_fan, tmp_path):
         path = tmp_path / "fan.csv"
@@ -336,6 +343,11 @@ class TestPerturbativeCoupling:
         with pytest.raises(ValueError):
             g_eff_perturbative(ref_strip, 20, 10.0)
 
+    @pytest.mark.parametrize("target_level", [1.5, True, np.float64(2.0)])
+    def test_non_integer_target_level_rejected(self, ref_strip, target_level):
+        with pytest.raises(ValueError, match="target_level must be an integer"):
+            g_eff_perturbative(ref_strip, target_level, 10.0)
+
 
 class TestBranchMatching:
     def test_identity_assignment(self):
@@ -382,6 +394,26 @@ class TestBranchMatching:
         cur = hadamard(8) / np.sqrt(8)  # every overlap is 1/sqrt(8) < 0.5
         _, low, _ = match_branches(prev, cur)
         assert low
+
+    def test_greedy_returns_the_accepted_row_maxima(self):
+        # where the tracker's stacked test accepts an overlap, the greedy rule
+        # alone must give the same columns with no flag
+        rng = np.random.default_rng(18)
+        accepted = rejected = 0
+        for _ in range(400):
+            k = int(rng.integers(2, 21))
+            prev, _ = np.linalg.qr(rng.standard_normal((k, k)))
+            turn, _ = np.linalg.qr(np.eye(k) + rng.uniform(0, 1.5) * rng.standard_normal((k, k)))
+            cur = (prev @ turn)[:, rng.permutation(k)]
+            best_cols, ok = strip._row_maxima_assign(np.abs(prev.conj().T @ cur))
+            if not ok:
+                rejected += 1
+                continue
+            accepted += 1
+            cols, low, ambiguous = match_branches(prev, cur)
+            assert np.array_equal(cols, best_cols)
+            assert not low and not ambiguous
+        assert accepted > 0 and rejected > 0
 
 
 class TestStripConfig:

@@ -1,4 +1,5 @@
 import filecmp
+import inspect
 import json
 import os
 
@@ -15,6 +16,7 @@ from mistsim.sweep import (
     run_sweep,
     spectral_difference,
 )
+from mistsim.transmon import TransmonParams, ej_for_frequency
 
 
 def small_config(**overrides):
@@ -215,6 +217,18 @@ class TestRunSweep:
 
 
 class TestSweepConfig:
+    def test_default_hash_is_pinned(self):
+        # the regression anchor of every default result file; a deliberate
+        # change of a default moves it
+        assert config_hash(SweepConfig()) == "e400eee4baa39ab8"
+
+    def test_truncation_defaults_are_the_transmon_defaults(self):
+        cfg = SweepConfig()
+        assert cfg.level_count == TransmonParams.level_count
+        assert cfg.charge_cutoff == TransmonParams.charge_cutoff
+        cutoff = inspect.signature(ej_for_frequency).parameters["charge_cutoff"]
+        assert cutoff.default == TransmonParams.charge_cutoff
+
     def test_hash_ignores_execution_fields(self):
         a = small_config(workers=1, out_dir="/tmp/a")
         b = small_config(workers=8, out_dir="/tmp/b")
@@ -324,6 +338,12 @@ class TestOracleCheck:
         # an empty scan compared nothing and reported passed
         with pytest.raises(ValueError, match="n_g_values must be non-empty"):
             run_oracle_check(SweepConfig(), n_g_values=())
+
+    @pytest.mark.parametrize("n_max", [True, 2.5, np.float64(3.0)])
+    def test_n_max_must_be_an_integer(self, n_max):
+        # True would scan N <= 1 and report "n_max": true
+        with pytest.raises(ValueError, match="n_max must be an integer"):
+            run_oracle_check(SweepConfig(), n_max=n_max, n_g_values=(0.0,))
 
     def test_two_level_toy_system(self):
         cfg = SweepConfig(level_count=2)

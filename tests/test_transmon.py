@@ -313,6 +313,16 @@ class TestChargeDispersion:
         with pytest.raises(ValueError, match="not kept"):
             charge_dispersion(p, 7)
 
+    @pytest.mark.parametrize(
+        "level, match",
+        [(-1, "not kept"), (True, "integer"), (2.5, "integer"), (np.float64(1.0), "integer")],
+    )
+    def test_level_must_be_a_kept_index(self, level, match):
+        # -1 would index the top of the 2N+1 charge-basis levels, not a kept one
+        p = TransmonParams(e_c=0.2, e_j=10.0, level_count=5, charge_cutoff=10)
+        with pytest.raises(ValueError, match=match):
+            charge_dispersion(p, level)
+
 
 class TestKBend:
     @pytest.mark.parametrize(
