@@ -7,7 +7,8 @@ a1*H(t2) acting first, B2 = a1*H(t1) + a2*H(t2), a1,2 = 1/4 -/+ sqrt(3)/6 and
 Gauss nodes t1,2 = t + (1/2 -/+ sqrt(3)/6)*h. Each exponential comes from a
 spectral decomposition, so unitarity is exact up to rounding. The bonds
 Re(sqrt(nbar - k)) have a square-root kink wherever nbar(t) = k; the step
-edges are the grid j*dt plus every such kink time (``field.level_crossings``),
+edges are the grid j*dt plus every such kink time, which
+``field.level_crossings`` bisects on the exact field solver ``field_amplitude``,
 so both nodes of a step lie on the same side of every kink. Populations of
 the instantaneous eigenstates are sampled on grid edges every
 ``sample_stride`` steps, with branch identity carried from the bare labels at
@@ -30,9 +31,12 @@ state. ``propagate_states`` therefore builds, diagonalizes and branch-tracks
 both stacks once and carries every prepared state through them as one stack
 of columns. Each column still gets its own matrix-vector product at every
 step and sample, so its numbers are bitwise those of a one-state run.
-``propagate`` is its one-state form. This module propagates one member at
-the offset charge its strip was diagonalized at; ``sweep`` owns the charge
-grid and the average over it.
+The step stack is built, diagonalized and applied ``STEP_CHUNK`` sub-steps
+at a time, bitwise as one stack (``eigh`` is per matrix), so a sweep
+worker's memory stays flat from member to member. ``propagate`` is its
+one-state form. This module propagates one member at the offset charge its
+strip was diagonalized at; ``sweep`` owns the charge grid and the average
+over it.
 """
 
 from __future__ import annotations
@@ -62,6 +66,7 @@ MAX_DT = 0.05  # ns
 CF4_NODES = np.array([0.5 - np.sqrt(3) / 6, 0.5 + np.sqrt(3) / 6])
 CF4_WEIGHTS = (0.25 - np.sqrt(3) / 6, 0.25 + np.sqrt(3) / 6)
 EDGE_MERGE_TOL = 1e-9  # ns; a kink this close to another edge adds no step
+STEP_CHUNK = 256  # sub-steps per Hamiltonian stack; even, so every chunk ends on a full step
 
 
 @dataclass(frozen=True)
@@ -252,10 +257,7 @@ def propagate_states(config: SimulationConfig, states) -> list[PopulationTrace]:
 
     # step edges: the grid j*dt plus every kink of the bonds, nbar(t) = k
     grid = _sample_times(drive.duration, config.dt, 1)
-    alpha_grid = field_amplitude(drive, grid)
-    edges = _step_edges(
-        grid, level_crossings(drive, grid, alpha_grid, np.arange(1, k_count - 1))
-    )
+    edges = _step_edges(grid, level_crossings(drive, grid, np.arange(1, k_count - 1)))
     h = np.diff(edges)
     nodes = edges[:-1, None] + h[:, None] * CF4_NODES
     alpha_n = field_amplitude(drive, nodes.ravel()).reshape(nodes.shape)
@@ -265,17 +267,18 @@ def propagate_states(config: SimulationConfig, states) -> list[PopulationTrace]:
     # at omega_d acts at 2*omega_r - omega_d; the mend flips this term's sign
     # and conjugates the phase of ``strip.effective_hamiltonian``
     diag = strip_cfg.rotating_diagonal / 2 - np.arange(k_count) * rate[:, None] / (2 * np.pi)
+    bonds, sub_h = _cf4_substeps(bond_amplitudes(strip_cfg, nbar_n)), np.repeat(h, 2)
+    # a state after every full step, STEP_CHUNK sub-steps at a time, then
+    # those at the sample times
+    full = [np.eye(k_count)[None, :, states]]
+    for part in (slice(lo, lo + STEP_CHUNK) for lo in range(0, len(sub_h), STEP_CHUNK)):
+        stack = tridiagonal_stack(diag[part], bonds[part])
+        full.append(evolve_piecewise_constant(stack, sub_h[part], full[-1][-1], 2)[1:])
     t_s = _sample_times(drive.duration, config.dt, config.sample_stride)
-    # a state after every full step, then those at the sample times
-    block = evolve_piecewise_constant(
-        tridiagonal_stack(diag, _cf4_substeps(bond_amplitudes(strip_cfg, nbar_n))),
-        np.repeat(h, 2),
-        np.eye(k_count)[:, states],
-        2,
-    )[np.searchsorted(edges, t_s)]
+    block = np.concatenate(full)[np.searchsorted(edges, t_s)]
 
     # instantaneous eigenbasis at sample times, tracked from the bare labels
-    nbar_s = np.abs(alpha_grid[np.searchsorted(grid, t_s)]) ** 2
+    nbar_s = np.abs(field_amplitude(drive, t_s)) ** 2
     _, vectors, flagged = tracked_eigenbasis(strip_cfg, nbar_s)
 
     traces = []

@@ -179,39 +179,25 @@ def evolve_field_numeric(drive: DriveConfig, t_grid: np.ndarray | None = None) -
     return FieldTrajectory.from_alpha(t_grid, field_amplitude(drive, t_grid))
 
 
-def level_crossings(
-    drive: DriveConfig, times: np.ndarray, alpha: np.ndarray, levels
-) -> np.ndarray:
+def level_crossings(drive: DriveConfig, times: np.ndarray, levels) -> np.ndarray:
     """Every time where |alpha|^2 crosses one of ``levels``, ascending.
 
-    ``alpha`` is the field on the ascending grid ``times``. Each crossing is
-    bracketed by a sign change of |alpha|^2 - k between neighbouring grid
-    points, then bisected on the cubic Hermite interpolant of alpha, whose
-    end slopes come exactly from the field equation. A level touched twice
-    within one grid interval shows no sign change and is not reported.
+    Each crossing is bracketed by a sign change of |alpha|^2 - k between
+    neighbouring points of the ascending grid ``times``, then bisected on
+    ``field_amplitude`` itself, 60 halvings of the grid interval. A level
+    touched twice within one grid interval shows no sign change and is not
+    reported.
     """
     times = np.asarray(times, float)
     levels = np.asarray(levels, float)
-    above = np.abs(alpha)[:, None] ** 2 > levels
+    above = np.abs(field_amplitude(drive, times))[:, None] ** 2 > levels
     i, j = np.nonzero(above[1:] != above[:-1])
-    if len(i) == 0:
-        return np.empty(0)
-    slope = _alpha_slope(drive, times, alpha)
     h = times[i + 1] - times[i]
-    a0, a1 = alpha[i], alpha[i + 1]
-    m0, m1 = h * slope[i], h * slope[i + 1]
     level, rising = levels[j], above[i + 1, j]
     lo, hi = np.zeros(len(i)), np.ones(len(i))
     for _ in range(60):
         s = (lo + hi) / 2
-        s2, s3 = s * s, s * s * s
-        p = (
-            (2 * s3 - 3 * s2 + 1) * a0
-            + (s3 - 2 * s2 + s) * m0
-            + (3 * s2 - 2 * s3) * a1
-            + (s3 - s2) * m1
-        )
-        past = (np.abs(p) ** 2 > level) == rising
+        past = (np.abs(field_amplitude(drive, times[i] + h * s)) ** 2 > level) == rising
         hi = np.where(past, s, hi)
         lo = np.where(past, lo, s)
     return np.sort(times[i] + h * (lo + hi) / 2)

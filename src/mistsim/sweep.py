@@ -18,7 +18,7 @@ import hashlib
 import json
 import os
 import time
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 from dataclasses import asdict, dataclass, field, replace
 from multiprocessing import Pool
 
@@ -51,6 +51,9 @@ __all__ = [
 ]
 
 DEFAULT_NG_GRID = tuple(round(-0.50 + 0.05 * i, 10) for i in range(11))
+
+# what a failed run leaves in its out_dir; a new run removes both first
+_FAILURE_FILES = ("failure_manifest.json", "partial_curves.npz")
 
 # the float settings that no part of a member checks
 _FLOAT_SETTINGS = ("omega_r", "delta_grid", "n_g_grid", "dt", "threshold", "nbar_step")
@@ -264,12 +267,13 @@ def _write_failure_artifacts(
         },
         "completed_tasks": done,
     }
-    write_json(os.path.join(config.out_dir, "failure_manifest.json"), manifest)
+    manifest_file, curves_file = _FAILURE_FILES
+    write_json(os.path.join(config.out_dir, manifest_file), manifest)
     arrays = {"nbar_axis": nbar_axis}
     for (delta, n_g), curves in zip(points[:done], members):
         for state, curve in zip(config.initial_states, curves):
             arrays[f"delta{delta}_ng{n_g}_state{state}"] = curve
-    np.savez(os.path.join(config.out_dir, "partial_curves.npz"), **arrays)
+    np.savez(os.path.join(config.out_dir, curves_file), **arrays)
 
 
 def _point_survival(task) -> list[np.ndarray]:
@@ -325,10 +329,16 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     ``config`` is checked again first, so a field set after construction
     fails here as it would in the constructor. Raises on the first failing
     point simulation, naming its (delta, n_g) coordinates and the states it
-    carried. Results do not depend on worker count.
+    carried; with ``out_dir`` set it writes the failure files there, and
+    removes those of an earlier run when it starts. Results do not depend on
+    worker count.
     """
     t_start = time.monotonic()
     config = replace(config)
+    if config.out_dir:
+        for name in _FAILURE_FILES:
+            with suppress(FileNotFoundError):
+                os.remove(os.path.join(config.out_dir, name))
     nbar_axis = config.nbar_axis()
     states = list(config.initial_states)
     points = [(delta, n_g) for delta in config.delta_grid for n_g in config.n_g_grid]

@@ -104,7 +104,6 @@ class TransmonEigen:
     energies: np.ndarray
     couplings: np.ndarray
     raw_n01: float
-    n_g: float
     provenance: TransmonParams | None = None
 
     @property
@@ -185,7 +184,6 @@ def diagonalize(params: TransmonParams) -> TransmonEigen:
         energies=energies,
         couplings=elements / raw_n01,
         raw_n01=raw_n01,
-        n_g=params.n_g,
         provenance=params,
     )
 

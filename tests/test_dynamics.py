@@ -169,7 +169,7 @@ class TestPropagate:
                 return effective_hamiltonian(strip, alpha * np.exp(1j * theta * t))
 
             grid = np.arange(1001) * 0.01
-            kinks = level_crossings(drive, grid, field_amplitude(drive, grid), np.arange(1, 19))
+            kinks = level_crossings(drive, grid, np.arange(1, 19))
             edges = _step_edges(grid, kinks)
             h = np.diff(edges)
             nodes = edges[:-1, None] + h[:, None] * CF4_NODES
@@ -265,6 +265,19 @@ class TestPropagate:
                 assert np.array_equal(getattr(a, name), getattr(b, name)), name
             assert a.flagged_samples == b.flagged_samples
 
+    @pytest.mark.parametrize("chunk", [2, 256])
+    def test_step_chunks_equal_one_stack(self, ref_strip, ref_drive, chunk, monkeypatch):
+        # the step stack goes through the kernel a chunk at a time; no chunk
+        # boundary may move a bit against one stack of every sub-step
+        sim = SimulationConfig(strip=ref_strip, drive=member_drive(ref_drive, "dressed"))
+        monkeypatch.setattr(dynamics, "STEP_CHUNK", chunk)
+        chunked = propagate_states(sim, [0, 1])
+        monkeypatch.setattr(dynamics, "STEP_CHUNK", 10**9)
+        whole = propagate_states(sim, [0, 1])
+        for a, b in zip(chunked, whole):
+            assert np.array_equal(a.populations, b.populations)
+            assert np.array_equal(a.norm, b.norm)
+
     def test_default_step_matches_refined_dt(self):
         # (0.6, -0.5) is the stiffest grid corner; CF4 without kink-aligned
         # edges misses this by 1.6e-4
@@ -297,22 +310,39 @@ class TestLevelCrossings:
         grid = np.arange(8001) * 0.05
         n_ss = drive.steady_state_nbar
         levels = np.arange(1, int(np.ceil(n_ss)))
-        kinks = level_crossings(drive, grid, field_amplitude(drive, grid), levels)
+        kinks = level_crossings(drive, grid, levels)
         expected = -(2 / drive.kappa) * np.log(1 - np.sqrt(levels / n_ss))
         assert len(kinks) == len(levels)
         assert np.max(np.abs(kinks - expected)) < 1e-9
 
-    def test_tabulated_ramp_hits_levels(self, ref_drive):
-        ramp = (np.array([0.0, 30.0, 60.0, 100.0]), EPSILON * np.array([0, 0.6, 1, 1]))
-        drive = replace(ref_drive, envelope=ramp)
+    @pytest.mark.parametrize(
+        "kind", ["resonant", "dressed", "field_detuned", "ramp", "switch_off"]
+    )
+    def test_kinks_hit_levels(self, ref_drive, kind):
+        drive = {
+            "resonant": ref_drive,
+            "dressed": replace(ref_drive, omega_d=4.7354, omega_r_dressed=4.7354),
+            "field_detuned": replace(ref_drive, omega_r_dressed=OMEGA_R + 0.013),
+            "ramp": replace(
+                ref_drive,
+                envelope=(np.array([0.0, 30.0, 60.0, 100.0]), EPSILON * np.array([0, 0.6, 1, 1])),
+            ),
+            # both knots of the switch-off inside one grid interval; nbar then falls
+            "switch_off": replace(
+                ref_drive,
+                envelope=(np.array([0.0, 50.01, 50.04]), EPSILON * np.array([1, 1, 0])),
+            ),
+        }[kind]
         grid = np.arange(2001) * 0.05
         levels = np.arange(1, 19)
-        kinks = level_crossings(drive, grid, field_amplitude(drive, grid), levels)
-        assert len(kinks) == len(levels)
+        kinks = level_crossings(drive, grid, levels)
+        # every crossing, rising or falling, that a 1 ps grid sees
+        fine = np.abs(field_amplitude(drive, np.arange(100001) * 0.001))[:, None] ** 2 > levels
+        assert len(kinks) == np.count_nonzero(fine[1:] != fine[:-1])
         # the field the propagator samples at the step edges
         edges = _step_edges(grid, kinks)
-        nbar = np.abs(field_amplitude(drive, edges)) ** 2
-        assert np.max(np.abs(nbar[np.isin(edges, kinks)] - levels)) < 1e-9
+        nbar = np.abs(field_amplitude(drive, edges[np.isin(edges, kinks)])) ** 2
+        assert np.max(np.abs(nbar - np.round(nbar))) < 1e-12
 
     def test_detuned_drive_rise_and_fall(self, ref_strip):
         # 20 MHz from the dressed resonator: nbar rings up and back down
@@ -326,7 +356,7 @@ class TestLevelCrossings:
         sim = SimulationConfig(strip=ref_strip, drive=drive)
         grid = np.arange(2001) * sim.dt
         levels = np.arange(1, 19)
-        kinks = level_crossings(drive, grid, field_amplitude(drive, grid), levels)
+        kinks = level_crossings(drive, grid, levels)
         fine = np.arange(100001) * 0.001
         nbar = np.abs(field_amplitude(drive, fine)) ** 2
         for k in levels:
@@ -485,7 +515,6 @@ class TestChargeAveraging:
             energies=np.array([0.0, 5.85, 11.5]),
             couplings=np.array([1.0, 1.4]),
             raw_n01=1.0,
-            n_g=0.0,
         )
         strip = StripConfig(eigen=eigen, omega_r=OMEGA_R, g=0.1)
         sim = SimulationConfig(strip=strip, drive=ref_drive)

@@ -53,7 +53,6 @@ def synthetic_eigen(energies, couplings):
         energies=np.asarray(energies, float),
         couplings=np.asarray(couplings, float),
         raw_n01=1.0,
-        n_g=0.0,
     )
 
 

@@ -122,6 +122,20 @@ class TestRunSweep:
         partial = np.load(out / "partial_curves.npz")
         assert len(partial.files) == 3  # nbar_axis + two completed curves
 
+    def test_success_clears_earlier_failure_files(self, tmp_path):
+        # an earlier failed run's files used to survive beside the new results
+        out = tmp_path / "rerun"
+        out.mkdir()
+        (out / "failure_manifest.json").write_text("{}")
+        np.savez(out / "partial_curves.npz", nbar_axis=np.zeros(1))
+        cfg = small_config(
+            delta_grid=[1.1], n_g_grid=[0.0], duration=20.0, out_dir=str(out)
+        )
+        run_sweep(cfg)
+        assert sorted(os.listdir(out)) == [
+            "boundary_state0.json", "heatmap_state0.csv", "run_info.json"
+        ]
+
     def test_two_state_failure_names_point_and_states(self, monkeypatch, tmp_path):
         original = sweep_mod._point_survival
 
