@@ -8,6 +8,7 @@ from mistsim.dynamics import (
     CF4_WEIGHTS,
     PopulationTrace,
     SimulationConfig,
+    _sample_times,
     _step_edges,
     evolve_piecewise_constant,
     propagate,
@@ -70,6 +71,22 @@ def member_drive(ref_drive, kind):
         ramp = (np.array([0.0, 30.0, 60.0, 100.0]), EPSILON * np.array([0, 0.6, 1, 1]))
         return replace(ref_drive, envelope=ramp)
     return ref_drive
+
+
+# 20 MHz from the dressed resonator: nbar rings up and back down, so kinks
+# both rise and fall
+RISE_AND_FALL = DriveConfig(
+    epsilon=EPSILON, omega_d=OMEGA_R + 0.02, omega_r_dressed=OMEGA_R, kappa=KAPPA, duration=100.0
+)
+
+
+@pytest.fixture(scope="module")
+def stiff_corner():
+    """States 0 and 1 at (0.6, -0.5) at the default step and at dt 0.0025."""
+    strip = strip_for_detuning(SweepConfig(), 0.6, -0.5)
+    sim = SimulationConfig(strip=strip, drive=SweepConfig().drive())
+    fine = replace(sim, dt=0.0025, sample_stride=40)
+    return propagate_states(sim, [0, 1]), propagate_states(fine, [0, 1])
 
 
 class TestPropagate:
@@ -168,9 +185,7 @@ class TestPropagate:
             def lab_hamiltonian(alpha, t):
                 return effective_hamiltonian(strip, alpha * np.exp(1j * theta * t))
 
-            grid = np.arange(1001) * 0.01
-            kinks = level_crossings(drive, grid, np.arange(1, 19))
-            edges = _step_edges(grid, kinks)
+            edges = _step_edges(drive, sim.dt, np.arange(1, 19))
             h = np.diff(edges)
             nodes = edges[:-1, None] + h[:, None] * CF4_NODES
             alphas = field_amplitude(drive, nodes.ravel()).reshape(nodes.shape)
@@ -220,8 +235,10 @@ class TestPropagate:
         assert np.max(trace.populations[:, 1]) > 0.9
 
     def test_config_validation(self, ref_strip, ref_drive):
-        with pytest.raises(ValueError):
-            SimulationConfig(strip=ref_strip, drive=ref_drive, dt=0.1)
+        # above the 0.1 ns ceiling, though each divides the duration
+        for dt in (0.125, 0.2):
+            with pytest.raises(ValueError, match=r"dt must be in \(0, 0.1\] ns"):
+                SimulationConfig(strip=ref_strip, drive=ref_drive, dt=dt)
         with pytest.raises(ValueError):
             SimulationConfig(strip=ref_strip, drive=ref_drive, initial_state=20)
         with pytest.raises(ValueError):
@@ -231,7 +248,14 @@ class TestPropagate:
             drive = replace(ref_drive, duration=duration)
             with pytest.raises(ValueError, match="does not divide"):
                 SimulationConfig(strip=ref_strip, drive=drive, dt=dt)
-        accepted = ((0.05, 100.0), (0.0025, 100.0), (0.005, 100.0), (0.01, 10.0), (0.05, 30.0))
+        accepted = (
+            (0.1, 100.0),
+            (0.05, 100.0),
+            (0.0025, 100.0),
+            (0.005, 100.0),
+            (0.01, 10.0),
+            (0.05, 30.0),
+        )
         for dt, duration in accepted:
             drive = replace(ref_drive, duration=duration)
             assert SimulationConfig(strip=ref_strip, drive=drive, dt=dt).dt == dt
@@ -278,15 +302,25 @@ class TestPropagate:
             assert np.array_equal(a.populations, b.populations)
             assert np.array_equal(a.norm, b.norm)
 
-    def test_default_step_matches_refined_dt(self):
+    def test_default_step_matches_refined_dt(self, stiff_corner):
         # (0.6, -0.5) is the stiffest grid corner; CF4 without kink-aligned
         # edges misses this by 1.6e-4
-        strip = strip_for_detuning(SweepConfig(), 0.6, -0.5)
-        sim = SimulationConfig(strip=strip, drive=SweepConfig().drive())
-        fine = replace(sim, dt=0.0025, sample_stride=40)
-        for coarse, ref in zip(propagate_states(sim, [0, 1]), propagate_states(fine, [0, 1])):
+        for coarse, ref in zip(*stiff_corner):
             assert np.allclose(coarse.times, ref.times)
             assert np.max(np.abs(coarse.populations - ref.populations)) < 5e-5
+
+    def test_graded_edges_pin_the_refined_error(self, stiff_corner):
+        # graded edges at dt 0.1 read 1.2e-6 here; ungraded dt 0.1 reads
+        # 3.9e-5, and ungraded dt 0.05 1.1e-5
+        for coarse, ref in zip(*stiff_corner):
+            assert np.max(np.abs(coarse.populations - ref.populations)) < 3e-6
+
+    @pytest.mark.parametrize("duration", [100.0, 50.0, 30.0, 20.0])
+    def test_default_samples_are_the_old_grid(self, duration):
+        # dt 0.1, stride 1 samples the same times, bit for bit, as dt 0.05,
+        # stride 2 did, so sample photon numbers and branch labels stay put
+        default = _sample_times(duration, SimulationConfig.dt, SimulationConfig.sample_stride)
+        assert np.array_equal(default, _sample_times(duration, 0.05, 2))
 
     def test_states_validated(self, ref_sim):
         with pytest.raises(ValueError, match="initial_state 20 outside"):
@@ -340,21 +374,14 @@ class TestLevelCrossings:
         fine = np.abs(field_amplitude(drive, np.arange(100001) * 0.001))[:, None] ** 2 > levels
         assert len(kinks) == np.count_nonzero(fine[1:] != fine[:-1])
         # the field the propagator samples at the step edges
-        edges = _step_edges(grid, kinks)
+        edges = _step_edges(drive, 0.05, levels)
         nbar = np.abs(field_amplitude(drive, edges[np.isin(edges, kinks)])) ** 2
         assert np.max(np.abs(nbar - np.round(nbar))) < 1e-12
 
     def test_detuned_drive_rise_and_fall(self, ref_strip):
-        # 20 MHz from the dressed resonator: nbar rings up and back down
-        drive = DriveConfig(
-            epsilon=EPSILON,
-            omega_d=OMEGA_R + 0.02,
-            omega_r_dressed=OMEGA_R,
-            kappa=KAPPA,
-            duration=100.0,
-        )
+        drive = RISE_AND_FALL
         sim = SimulationConfig(strip=ref_strip, drive=drive)
-        grid = np.arange(2001) * sim.dt
+        grid = _sample_times(drive.duration, sim.dt, 1)
         levels = np.arange(1, 19)
         kinks = level_crossings(drive, grid, levels)
         fine = np.arange(100001) * 0.001
@@ -367,6 +394,43 @@ class TestLevelCrossings:
             assert np.all(np.abs(found - crossed) < 1e-3), k
         assert len(kinks) > len(levels)  # some levels are crossed up and down
         assert np.max(np.abs(propagate(sim).norm - 1.0)) < 1e-6
+
+    def test_graded_edges_on_the_side_above_the_level(self):
+        drive = RISE_AND_FALL
+        dt, levels = SimulationConfig.dt, np.arange(1, 19)
+        kinks = level_crossings(drive, _sample_times(drive.duration, dt, 1), levels)
+        edges = _step_edges(drive, dt, levels)
+        offsets = dt * 0.5 ** np.arange(1, 7)  # six graded edges, dt/2 to dt/64
+        rising = np.abs(field_amplitude(drive, kinks + 1e-6)) ** 2 > np.abs(
+            field_amplitude(drive, kinks - 1e-6)
+        ) ** 2
+        assert 0 < np.count_nonzero(rising) < len(kinks)
+
+        def is_edge(times):
+            return np.min(np.abs(edges[:, None] - times), axis=0) < 1e-12
+
+        for t_k, up in zip(kinks, rising):
+            # after a rising kink, before a falling one; none on the other side
+            side = 1.0 if up else -1.0
+            assert np.all(is_edge(t_k + side * offsets)), t_k
+            assert not np.any(is_edge(t_k - side * offsets)), t_k
+        # every edge is a grid point, a kink or a graded edge, and inside the pulse
+        graded = (kinks + np.where(rising, 1.0, -1.0) * offsets[:, None]).ravel()
+        known = np.concatenate((_sample_times(drive.duration, dt, 1), kinks, graded))
+        assert np.all(np.min(np.abs(known[:, None] - edges), axis=0) < 1e-12)
+        assert edges[0] == 0.0 and edges[-1] == drive.duration
+        assert np.all(np.diff(edges) > dynamics.EDGE_MERGE_TOL)
+
+    def test_graded_edges_end_with_the_pulse(self, ref_drive):
+        # the pulse ends 3.5 ps after level 3's kink at 6.5965 ns: of its six
+        # graded edges only dt/32 and dt/64 lie inside
+        drive = replace(ref_drive, duration=6.6)
+        dt = SimulationConfig.dt
+        edges = _step_edges(drive, dt, np.arange(1, 19))
+        grid = _sample_times(drive.duration, dt, 1)
+        t_k = level_crossings(drive, grid, [3])[0]
+        assert edges[-1] == grid[-1] and np.count_nonzero(edges > t_k) == 3
+        assert np.allclose(edges[edges > t_k][:2] - t_k, [dt / 64, dt / 32], rtol=0, atol=1e-12)
 
 
 class TestPiecewiseConstantEvolver:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mistsim.dynamics import propagate
+from mistsim.dynamics import _sample_times, propagate
 from mistsim.field import level_crossings
 from mistsim.sweep import SweepConfig, run_sweep
 
@@ -42,7 +42,7 @@ def compute() -> dict[str, np.ndarray]:
         "ramp": replace(sim.drive, envelope=ramp),
         "detuned": replace(sim.drive, omega_r_dressed=sim.drive.omega_r_dressed + 0.013),
     }
-    grid = np.arange(2001) * sim.dt
+    grid = _sample_times(sim.drive.duration, sim.dt, 1)
     levels = np.arange(1, sim.strip.level_count - 1)
     for name, drive in drives.items():
         data[f"{name}_survival"] = propagate(replace(sim, drive=drive)).survival
