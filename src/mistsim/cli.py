@@ -172,12 +172,9 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     config = _build_config(args)
-    report = run_oracle_check(
-        config,
-        delta=args.delta,
-        n_g_values=tuple(args.ng_values),
-        n_max=args.n_max,
-    )
+    # run_oracle_check owns the defaults; pass only the flags given
+    given = {"delta": args.delta, "n_g_values": args.ng_values, "n_max": args.n_max}
+    report = run_oracle_check(config, **{k: v for k, v in given.items() if v is not None})
     _report(report, args.out, "oracle_check.json")
     return 0 if report["passed"] else 2
 
@@ -229,14 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-check", help="strip-vs-ladder spectral identity")
     _add_physics_flags(p)
-    p.add_argument("--delta", type=float, default=1.1)
-    p.add_argument(
-        "--ng-values",
-        dest="ng_values",
-        type=float,
-        nargs="+",
-        default=[-0.5, -0.25, 0.0, 0.2],
-    )
+    p.add_argument("--delta", type=float)
+    p.add_argument("--ng-values", dest="ng_values", type=float, nargs="+")
     p.add_argument("--n-max", dest="n_max", type=int)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_oracle_check)

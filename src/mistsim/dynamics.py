@@ -19,7 +19,10 @@ O(h^1.5) each, so the scheme is not fourth order overall. Populations of
 the instantaneous eigenstates are sampled on grid edges every
 ``sample_stride`` steps, with branch identity carried from the bare labels at
 alpha = 0 by maximal eigenvector overlap. ``evolve_piecewise_constant`` is
-the one step kernel.
+the one step kernel. ``_sample_photons`` is the one place a member's sample
+times become photon numbers: the sweep's heatmap axis and the charge
+average's default axis end at its last sample. ``_check_monotone`` is the one
+monotone ring-up rule, which reading survival against nbar(t) needs.
 
 The propagation runs in the drive's frame. Under the field every bond of the
 strip Hamiltonian carries the phase u(t) = (alpha/|alpha|) *
@@ -41,8 +44,8 @@ The step stack is built, diagonalized and applied ``STEP_CHUNK`` sub-steps
 at a time, bitwise as one stack (``eigh`` is per matrix), so a sweep
 worker's memory stays flat from member to member. ``propagate`` is its
 one-state form. This module propagates one member at the offset charge its
-strip was diagonalized at; ``sweep`` owns the charge grid and the average
-over it.
+strip was diagonalized at (``StripConfig.at_charge`` moves a strip to
+another); ``sweep`` owns the charge grid and the average over it.
 """
 
 from __future__ import annotations
@@ -74,6 +77,7 @@ CF4_WEIGHTS = (0.25 - np.sqrt(3) / 6, 0.25 + np.sqrt(3) / 6)
 EDGE_MERGE_TOL = 1e-9  # ns; a kink or graded edge this close to another edge adds no step
 STEP_CHUNK = 256  # sub-steps per Hamiltonian stack; even, so every chunk ends on a full step
 GRADED_EDGES = 6  # graded step edges beside each kink, at dt*2^-j from it, j = 1..6
+MONOTONE_TOL = 1e-12  # photons a ring-up sample may fall by and still count as monotone
 
 
 @dataclass(frozen=True)
@@ -191,6 +195,25 @@ def _sample_times(duration: float, dt: float, stride: int) -> np.ndarray:
     return np.minimum(np.arange(0, steps + stride, stride), steps) * dt
 
 
+def _sample_photons(
+    drive: DriveConfig, dt: float, stride: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """A member's sample times (ns) and the photon numbers |alpha|^2 there."""
+    t_s = _sample_times(drive.duration, dt, stride)
+    return t_s, np.abs(field_amplitude(drive, t_s)) ** 2
+
+
+def _check_monotone(nbar: np.ndarray, reason: str) -> None:
+    """Reject photon numbers that fall by more than ``MONOTONE_TOL`` anywhere.
+
+    Survival is read against nbar(t), so it needs a monotone ring-up; a drive
+    detuned from the dressed resonator rings up and back down. ``reason``
+    ends the "not monotone" message.
+    """
+    if np.any(np.diff(nbar) < -MONOTONE_TOL):
+        raise ValueError(f"nbar(t) is not monotone{reason}")
+
+
 def _step_edges(drive: DriveConfig, dt: float, levels) -> np.ndarray:
     """Ascending step edges of the pulse: the grid j*dt, every kink, and its graded edges.
 
@@ -239,8 +262,8 @@ def propagate(config: SimulationConfig) -> PopulationTrace:
     """Propagate the prepared eigenstate through the ring-up and sample it.
 
     Raises if the norm drifts beyond 1e-6 (a propagator defect, not physics).
-    Samples where branch tracking saw an overlap below 0.5 are flagged but the
-    trace is still returned.
+    Samples where branch tracking saw an overlap below ``strip.LOW_OVERLAP``
+    are flagged but the trace is still returned.
     """
     return propagate_states(config, [config.initial_state])[0]
 
@@ -300,11 +323,10 @@ def propagate_states(config: SimulationConfig, states) -> list[PopulationTrace]:
     for part in (slice(lo, lo + STEP_CHUNK) for lo in range(0, len(sub_h), STEP_CHUNK)):
         stack = tridiagonal_stack(diag[part], bonds[part])
         full.append(evolve_piecewise_constant(stack, sub_h[part], full[-1][-1], 2)[1:])
-    t_s = _sample_times(drive.duration, config.dt, config.sample_stride)
+    t_s, nbar_s = _sample_photons(drive, config.dt, config.sample_stride)
     block = np.concatenate(full)[np.searchsorted(edges, t_s)]
 
     # instantaneous eigenbasis at sample times, tracked from the bare labels
-    nbar_s = np.abs(field_amplitude(drive, t_s)) ** 2
     _, vectors, flagged = tracked_eigenbasis(strip_cfg, nbar_s)
 
     traces = []
@@ -338,8 +360,7 @@ def survival_vs_nbar(trace: PopulationTrace) -> SurvivalCurve:
     Requires a monotone ring-up (resonant square drive); partial recoveries
     after a crossing must not hide the transition, hence the running minimum.
     """
-    if np.any(np.diff(trace.nbar) < -1e-12):
-        raise ValueError("nbar(t) is not monotone; use the time axis instead")
+    _check_monotone(trace.nbar, "; use the time axis instead")
     running_min = np.minimum.accumulate(trace.survival)
     return SurvivalCurve(
         nbar_axis=trace.nbar.copy(), survival_running_min=running_min

@@ -10,12 +10,12 @@ That spectrum does not depend on the drive frequency, so the strip holds none.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .output import write_table
-from .transmon import TransmonEigen, _check_finite, _check_integer
+from .transmon import TransmonEigen, _check_finite, _check_integer, diagonalize
 
 __all__ = [
     "StripConfig",
@@ -34,6 +34,8 @@ __all__ = [
 
 #: Overlap difference within which ``match_branches`` calls an assignment a tie.
 TIE_TOL = 1e-6
+#: Best overlap below which ``match_branches`` calls a match low-overlap.
+LOW_OVERLAP = 0.5
 
 
 def _check_coupling(g: float | None, k_eff: float | None) -> None:
@@ -84,6 +86,20 @@ class StripConfig:
         """Bare rotating-frame energies E_k - k*omega_r (GHz)."""
         return self.eigen.energies - np.arange(self.level_count) * self.omega_r
 
+    def at_charge(self, n_g: float) -> "StripConfig":
+        """This strip with its transmon re-diagonalized at offset charge ``n_g``.
+
+        E_J and every other transmon setting come from ``eigen.provenance``,
+        so the result is bitwise the strip built at ``n_g`` from the start.
+        """
+        params = self.eigen.provenance
+        if params is None:
+            raise ValueError(
+                "strip carries no transmon provenance; cannot re-diagonalize at "
+                "other offset charges"
+            )
+        return replace(self, eigen=diagonalize(replace(params, n_g=n_g)))
+
 
 @dataclass
 class CrossingRecord:
@@ -105,8 +121,9 @@ class SpectrumResult:
 
     ``branches[j]`` follows the eigenstate anchored to bare level j at nbar=0,
     tracked along the grid by maximal eigenvector overlap. Grid points where
-    the best overlap fell below 0.5, or where the greedy assignment was
-    ambiguous within 1e-6, are listed in ``flagged_points``.
+    the best overlap fell below ``LOW_OVERLAP``, or where the greedy
+    assignment was ambiguous within ``TIE_TOL``, are listed in
+    ``flagged_points``.
     """
 
     nbar_grid: np.ndarray
@@ -189,7 +206,7 @@ def _row_maxima_assign(overlap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     They are the assignment of a matrix when they are distinct, each row's
     top overlap beats its second by more than ``TIE_TOL`` and every top is at
-    least 0.5: then ``match_branches`` returns them too, with no flag.
+    least ``LOW_OVERLAP``: then ``match_branches`` returns them too, with no flag.
     Returns (best_cols, ok); ``ok`` has the stack's leading shape.
     """
     best_cols = np.argmax(overlap, axis=-1)
@@ -197,7 +214,7 @@ def _row_maxima_assign(overlap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sorted_rows = np.sort(overlap, axis=-1)
     top = sorted_rows[..., -1]
     second = sorted_rows[..., -2]
-    clear = np.all((top - second > TIE_TOL) & (top >= 0.5), axis=-1)
+    clear = np.all((top - second > TIE_TOL) & (top >= LOW_OVERLAP), axis=-1)
     return best_cols, distinct & clear
 
 
@@ -207,8 +224,8 @@ def match_branches(prev_vecs: np.ndarray, cur_vecs: np.ndarray) -> tuple[np.ndar
     ``prev_vecs`` columns are branch-ordered; ``cur_vecs`` columns are in
     eigenvalue order. Returns (columns, low_overlap, ambiguous) where
     ``columns[branch]`` indexes into cur_vecs, ``low_overlap`` marks a best
-    overlap below 0.5 and ``ambiguous`` a greedy pick with a rival within
-    ``TIE_TOL`` in its row or column.
+    overlap below ``LOW_OVERLAP`` and ``ambiguous`` a greedy pick with a
+    rival within ``TIE_TOL`` in its row or column.
     """
     work = np.abs(prev_vecs.conj().T @ cur_vecs)
     n = work.shape[0]
@@ -223,7 +240,7 @@ def match_branches(prev_vecs: np.ndarray, cur_vecs: np.ndarray) -> tuple[np.ndar
         if np.count_nonzero((candidates[:, 0] == row) | (candidates[:, 1] == col)) > 1:
             ambiguous = True
         columns[row] = col
-        if m < 0.5:
+        if m < LOW_OVERLAP:
             low_overlap = True
         work[row, :] = -1.0
         work[:, col] = -1.0
@@ -248,10 +265,10 @@ def tracked_eigenbasis(
     permutations; where it accepts, ``match_branches`` would return its
     columns with no flag. The stacked overlaps may round in the last bit
     unlike one product per point, but they only decide the test, whose
-    margins (``TIE_TOL``, 0.5) are far wider; the energies and vectors are
-    gathered, not computed. ``match_branches`` runs, on the ordered previous
-    vectors as a point-by-point tracker would call it, only where the test
-    fails, so every order, flag and bit is that tracker's.
+    margins (``TIE_TOL``, ``LOW_OVERLAP``) are far wider; the energies and
+    vectors are gathered, not computed. ``match_branches`` runs, on the
+    ordered previous vectors as a point-by-point tracker would call it, only
+    where the test fails, so every order, flag and bit is that tracker's.
     """
     nbar = np.asarray(nbar, float)
     if nbar[0] != 0.0:

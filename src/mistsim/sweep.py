@@ -3,13 +3,16 @@
 This module owns the offset-charge grid and the average over it.
 ``SweepConfig.simulation`` is the one place a sweep config becomes a
 propagation job, and ``_point_survival`` the one point computation: it
-re-diagonalizes a detuning's base member at one n_g and propagates all
-initial states through the point's shared Hamiltonian stack, returning a
-curve per (delta, n_g, state) member. ``run_sweep`` maps it over every
-(delta, n_g) point, n_g fastest; ``charge_averaged_survival`` loops it over
-one member's charges. Workers are stateless and results are collected in
-point order, so the output is identical for any worker count. Wall-clock
-metadata is kept out of the result files to preserve that.
+moves a detuning's base member to one n_g with ``StripConfig.at_charge``,
+the one re-diagonalization at an offset charge, and propagates all initial
+states through the point's shared Hamiltonian stack, returning a curve per
+(delta, n_g, state) member. ``run_sweep`` maps it over every (delta, n_g)
+point, n_g fastest; ``charge_averaged_survival`` loops it over one member's
+charges. Workers are stateless and results are collected in point order, so
+the output is identical for any worker count. Wall-clock metadata is kept
+out of the result files to preserve that. A member's sample photon numbers
+come from ``dynamics._sample_photons`` alone, so the heatmap axis ends at
+the members' last sample by construction.
 """
 
 from __future__ import annotations
@@ -29,13 +32,14 @@ from .analysis import OnsetPoint, TransitionBoundary, boundary_to_dict, extract_
 from .dynamics import (
     SimulationConfig,
     SurvivalCurve,
+    _check_monotone,
     _check_state,
     _check_step,
-    _sample_times,
+    _sample_photons,
     propagate_states,
     survival_vs_nbar,
 )
-from .field import DriveConfig, field_amplitude
+from .field import DriveConfig
 from .output import provenance, write_json, write_table
 from .strip import StripConfig, _check_coupling, effective_hamiltonian, jtc_strip_hamiltonian
 from .transmon import TransmonParams, _check_finite, _check_integer, diagonalize, ej_for_frequency
@@ -58,13 +62,24 @@ _FAILURE_FILES = ("failure_manifest.json", "partial_curves.npz")
 # the float settings that no part of a member checks
 _FLOAT_SETTINGS = ("omega_r", "delta_grid", "n_g_grid", "dt", "threshold", "nbar_step")
 
+# photons the heatmap axis may reach past the members' last sample
+AXIS_SLACK = 1e-12
+# charges closer than this on the circle n_g mod 1 are one charge
+CHARGE_TOL = 1e-9
+
 
 def _check_charges(n_g_grid) -> None:
-    """Reject an empty charge grid, or a repeated charge: it would weigh double."""
+    """Reject an empty charge grid, or a repeated charge: it would weigh double.
+
+    Every spectrum is 1-periodic in n_g, so charges repeat modulo 1.
+    """
     if len(n_g_grid) == 0:
         raise ValueError("n_g_grid must be non-empty")
-    if len(set(n_g_grid)) != len(n_g_grid):
-        raise ValueError(f"n_g_grid must not repeat, got {n_g_grid}")
+    n_g = np.asarray(n_g_grid, float)
+    gap = np.abs(n_g[:, None] - n_g) % 1.0
+    apart = np.minimum(gap, 1.0 - gap)[np.triu_indices(len(n_g), 1)]
+    if np.any(apart < CHARGE_TOL):
+        raise ValueError(f"n_g_grid must not repeat modulo 1, got {n_g_grid}")
 
 
 def _default_delta_grid() -> list[float]:
@@ -127,15 +142,11 @@ class SweepConfig:
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         _check_step(self.dt, self.sample_stride, self.duration)
-        # survival is read against nbar(t), which needs a monotone ring-up; a
-        # drive detuned from the dressed resonator rings up and back down
-        t_s = _sample_times(self.duration, self.dt, self.sample_stride)
-        nbar = np.abs(field_amplitude(drive, t_s)) ** 2
-        if np.any(np.diff(nbar) < -1e-12):
-            raise ValueError(
-                f"nbar(t) is not monotone: the drive at omega_d = {drive.omega_d} "
-                f"GHz is detuned from omega_r_dressed = {drive.omega_r_dressed} GHz"
-            )
+        _check_monotone(
+            _sample_photons(drive, self.dt, self.sample_stride)[1],
+            f": the drive at omega_d = {drive.omega_d} GHz is detuned from "
+            f"omega_r_dressed = {drive.omega_r_dressed} GHz",
+        )
         _check_integer("workers", self.workers)
         if self.workers < 1:
             raise ValueError(f"worker count must be >= 1, got {self.workers}")
@@ -172,8 +183,9 @@ class SweepConfig:
         )
 
     def nbar_axis(self) -> np.ndarray:
-        end = abs(field_amplitude(self.drive(), np.array([self.duration]))[0]) ** 2
-        return np.arange(0.0, end + 1e-12, self.nbar_step)
+        """Heatmap axis: 0 to the members' last sample photon number, by ``nbar_step``."""
+        end = _sample_photons(self.drive(), self.dt, self.sample_stride)[1][-1]
+        return np.arange(0.0, end + AXIS_SLACK, self.nbar_step)
 
     def physics_dict(self) -> dict:
         d = asdict(self)
@@ -282,14 +294,8 @@ def _point_survival(task) -> list[np.ndarray]:
     ``task`` is (base, n_g, states, nbar_axis); ``base`` is re-diagonalized at n_g.
     """
     base, n_g, states, nbar_axis = task
-    params = base.strip.eigen.provenance
-    if params is None:
-        raise ValueError(
-            "strip carries no transmon provenance; cannot re-diagonalize at "
-            "other offset charges"
-        )
-    strip = replace(base.strip, eigen=diagonalize(replace(params, n_g=n_g)))
-    curves = map(survival_vs_nbar, propagate_states(replace(base, strip=strip), states))
+    sim = replace(base, strip=base.strip.at_charge(n_g))
+    curves = map(survival_vs_nbar, propagate_states(sim, states))
     return [np.interp(nbar_axis, c.nbar_axis, c.survival_running_min) for c in curves]
 
 
@@ -301,15 +307,26 @@ def charge_averaged_survival(
     """Uniform average of survival curves over an offset-charge grid.
 
     Member curves are interpolated onto a common photon-number axis (the
-    members' own sample-time axis unless one is given) and averaged with equal
-    weights. Each member is the sweep's point computation at one charge.
+    members' own sample photon numbers unless one is given) and averaged with
+    equal weights. Each member is the sweep's point computation at one charge.
+    A given axis must ascend strictly from >= 0 and end no later than the
+    members' last sample (plus ``AXIS_SLACK``): past it, interpolation would
+    repeat the last survival value as if it had been computed.
     """
     if n_g_grid is None:
         n_g_grid = DEFAULT_NG_GRID
     _check_charges(n_g_grid)
+    nbar_s = _sample_photons(base.drive, base.dt, base.sample_stride)[1]
     if nbar_axis is None:
-        t_s = _sample_times(base.drive.duration, base.dt, base.sample_stride)
-        nbar_axis = np.abs(field_amplitude(base.drive, t_s)) ** 2
+        nbar_axis = nbar_s
+    else:
+        nbar_axis = np.asarray(nbar_axis, float)
+        inside = (nbar_axis >= 0) & (nbar_axis <= nbar_s[-1] + AXIS_SLACK)
+        if not (np.all(np.diff(nbar_axis) > 0) and np.all(inside)):
+            raise ValueError(
+                "nbar_axis must ascend strictly from >= 0 to at most the members' "
+                f"last sample, nbar = {nbar_s[-1]}"
+            )
     members = []
     for n_g in n_g_grid:
         try:
@@ -318,7 +335,7 @@ def charge_averaged_survival(
         except Exception as exc:
             raise RuntimeError(f"member simulation failed at n_g={n_g}") from exc
     return SurvivalCurve(
-        nbar_axis=np.asarray(nbar_axis, float),
+        nbar_axis=nbar_axis,
         survival_running_min=np.stack(members).mean(axis=0),
     )
 
@@ -465,10 +482,12 @@ def run_oracle_check(
     # no charge would mean no comparison, and "passed" would claim one
     if len(n_g_values) == 0:
         raise ValueError("n_g_values must be non-empty")
+    # E_J is solved once, at the first charge; the others re-diagonalize
+    base = strip_for_detuning(config, delta, n_g_values[0])
+    strips = [base] + [base.at_charge(n_g) for n_g in n_g_values[1:]]
     per_ng = {}
     worst = 0.0
-    for n_g in n_g_values:
-        strip_cfg = strip_for_detuning(config, delta, n_g)
+    for n_g, strip_cfg in zip(n_g_values, strips):
         diffs = [spectral_difference(strip_cfg, n) for n in range(n_max + 1)]
         per_ng[n_g] = max(diffs)
         worst = max(worst, per_ng[n_g])

@@ -11,7 +11,8 @@ import pytest
 
 import mistsim
 from mistsim.cli import _build_config, build_parser, main
-from mistsim.sweep import SweepConfig
+from mistsim.output import json_text
+from mistsim.sweep import SweepConfig, run_oracle_check
 
 
 def run_cli(capsys, *argv):
@@ -209,12 +210,16 @@ class TestSweepCommand:
         actions = [a for a in subparsers.choices["sweep"]._actions if a.dest in fields]
         assert {"n_g_grid", "initial_states", "delta_grid"} <= {a.dest for a in actions}
         # 3 and [1, 2] pass every SweepConfig check for every field but these
-        # bounded ones; each value differs from the field's default
-        bounded = {"dt": 0.04, "threshold": 0.5, "charge_cutoff": 33}
+        # bounded ones (charges 1 and 2 are one charge modulo 1); each value
+        # differs from the field's default
+        bounded = {"dt": 0.04, "threshold": 0.5, "charge_cutoff": 33, "n_g_grid": [0.1, 0.2]}
         for action in actions:
-            scalar = action.type(bounded.get(action.dest, 3))
-            value = [action.type(1), action.type(2)] if action.nargs == "+" else scalar
-            words = [str(v) for v in value] if action.nargs == "+" else [str(value)]
+            if action.nargs == "+":
+                value = bounded.get(action.dest, [action.type(1), action.type(2)])
+                words = [str(v) for v in value]
+            else:
+                value = action.type(bounded.get(action.dest, 3))
+                words = [str(value)]
             args = parser.parse_args(
                 ["sweep", "--out", str(tmp_path), action.option_strings[0], *words]
             )
@@ -228,6 +233,12 @@ class TestOracleCheckCommand:
         report = json.loads(out)
         assert report["passed"] is True
         assert report["max_difference"] < 1e-12
+
+    def test_defaults_are_the_functions(self, capsys):
+        # --delta and --ng-values left out: run_oracle_check's defaults apply
+        code, out, _ = run_cli(capsys, "oracle-check", "--n-max", "5")
+        assert code == 0
+        assert out == json_text(run_oracle_check(SweepConfig(), n_max=5)) + "\n"
 
 
 class TestErrorHandling:

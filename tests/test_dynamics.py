@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+import mistsim.sweep as sweep_mod
 from mistsim import dynamics
 from mistsim.dynamics import (
     CF4_NODES,
     CF4_WEIGHTS,
     PopulationTrace,
     SimulationConfig,
+    _sample_photons,
     _sample_times,
     _step_edges,
     evolve_piecewise_constant,
@@ -587,10 +589,40 @@ class TestChargeAveraging:
 
     @pytest.mark.parametrize(
         "n_g_grid, match",
-        [([], "n_g_grid must be non-empty"), ([0.2, 0.2], "n_g_grid must not repeat")],
+        [
+            ([], "n_g_grid must be non-empty"),
+            ([0.2, 0.2], "n_g_grid must not repeat"),
+            # one charge modulo 1
+            ([-0.5, 0.5], "n_g_grid must not repeat"),
+            ([0.1, 0.3, 1.1], "n_g_grid must not repeat"),
+        ],
     )
     def test_bad_grid_rejected(self, ref_sim, n_g_grid, match):
         # an empty grid ended in numpy's "need at least one array to stack",
         # and a repeated charge weighed double
         with pytest.raises(ValueError, match=match):
             charge_averaged_survival(ref_sim, n_g_grid=n_g_grid)
+
+    @pytest.mark.parametrize(
+        "axis",
+        [
+            [0.0, 1e6],  # past the last sample; np.interp clamped it to the final value
+            [0.0, 2.0, 1.0],
+            [0.0, 1.0, 1.0],
+            [-1.0, 0.0, 1.0],
+            [0.0, np.nan],
+        ],
+    )
+    def test_axis_it_cannot_honour_rejected(self, ref_sim, axis, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sweep_mod, "_point_survival", calls.append)
+        with pytest.raises(ValueError, match="nbar_axis must ascend strictly"):
+            charge_averaged_survival(ref_sim, n_g_grid=[0.2], nbar_axis=np.array(axis))
+        assert calls == []
+
+    def test_axis_may_end_at_the_last_sample(self, ref_sim, ref_trace):
+        _, nbar_s = _sample_photons(ref_sim.drive, ref_sim.dt, ref_sim.sample_stride)
+        axis = np.array([0.0, nbar_s[-1] / 2, nbar_s[-1] + 1e-12])
+        curve = charge_averaged_survival(ref_sim, n_g_grid=[0.2], nbar_axis=axis)
+        member = survival_vs_nbar(ref_trace)
+        assert curve.survival_running_min[-1] == member.survival_running_min[-1]

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import mistsim.sweep as sweep_mod
-from mistsim.strip import effective_hamiltonian, jtc_strip_hamiltonian
+from mistsim.dynamics import _sample_photons
+from mistsim.strip import StripConfig, effective_hamiltonian, jtc_strip_hamiltonian
 from mistsim.sweep import (
     SweepConfig,
     charge_averaged_survival,
@@ -15,8 +16,9 @@ from mistsim.sweep import (
     run_oracle_check,
     run_sweep,
     spectral_difference,
+    strip_for_detuning,
 )
-from mistsim.transmon import TransmonParams, ej_for_frequency
+from mistsim.transmon import TransmonEigen, TransmonParams, ej_for_frequency
 
 
 def small_config(**overrides):
@@ -289,6 +291,11 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match="not monotone"):
             small_config(omega_d=4.77, omega_r_dressed=4.75)
         small_config(omega_d=4.745, omega_r_dressed=4.745)  # dressed-frequency drive
+        # every spectrum is 1-periodic in n_g: these charges are one charge
+        for n_g_grid in ([-0.5, 0.5], [0.0, 1.0], [0.1, 1.1], [0.2, -0.8 + 1e-12]):
+            with pytest.raises(ValueError, match="n_g_grid must not repeat"):
+                small_config(n_g_grid=n_g_grid)
+        assert small_config(n_g_grid=[-0.5, 0.49]).n_g_grid == [-0.5, 0.49]
 
     @pytest.mark.parametrize(
         "overrides, match",
@@ -327,6 +334,12 @@ class TestSweepConfig:
             small_config(**overrides, out_dir=str(out))
         assert not out.exists()
 
+    def test_axis_ends_at_the_members_last_sample(self):
+        cfg = SweepConfig()
+        _, nbar_s = _sample_photons(cfg.drive(), cfg.dt, cfg.sample_stride)
+        end = cfg.nbar_axis()[-1]
+        assert nbar_s[-1] - cfg.nbar_step < end <= nbar_s[-1] + 1e-12
+
     def test_resolved_drive_is_resonant_by_default(self):
         cfg = small_config()
         assert cfg.drive().detuning == 0.0
@@ -362,6 +375,19 @@ class TestOracleCheck:
         with pytest.raises(ValueError, match="n_max must be an integer"):
             run_oracle_check(SweepConfig(), n_max=n_max, n_g_values=(0.0,))
 
+    def test_solves_ej_once(self, monkeypatch):
+        # the other charges re-diagonalize the first charge's transmon
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return ej_for_frequency(*args, **kwargs)
+
+        monkeypatch.setattr(sweep_mod, "ej_for_frequency", counted)
+        report = run_oracle_check(SweepConfig(), n_max=5)
+        assert len(report["max_difference_per_ng"]) == 4
+        assert len(calls) == 1
+
     def test_two_level_toy_system(self):
         cfg = SweepConfig(level_count=2)
         report = run_oracle_check(cfg, n_max=1, n_g_values=(0.0,))
@@ -395,3 +421,26 @@ class TestOracleCheck:
         strip_cfg = sweep_mod.strip_for_detuning(cfg, 1.1, 0.2)
         for n_total in range(0, 20):
             assert spectral_difference(strip_cfg, n_total) < 1e-12
+
+
+class TestAtCharge:
+    @pytest.mark.parametrize("n_g", [-0.5, 0.2, 0.5])
+    def test_equals_the_strip_built_at_the_charge(self, n_g):
+        cfg = SweepConfig()
+        moved = strip_for_detuning(cfg, 1.1, 0.0).at_charge(n_g)
+        built = strip_for_detuning(cfg, 1.1, n_g)
+        assert np.array_equal(moved.eigen.energies, built.eigen.energies)
+        assert np.array_equal(moved.eigen.couplings, built.eigen.couplings)
+        assert moved.eigen.raw_n01 == built.eigen.raw_n01
+        assert moved.eigen.provenance == built.eigen.provenance
+        assert (moved.omega_r, moved.g, moved.k_eff) == (built.omega_r, built.g, built.k_eff)
+
+    def test_needs_provenance(self):
+        eigen = TransmonEigen(
+            energies=np.array([0.0, 5.85, 11.5]),
+            couplings=np.array([1.0, 1.4]),
+            raw_n01=1.0,
+        )
+        strip = StripConfig(eigen=eigen, omega_r=4.75, g=0.1)
+        with pytest.raises(ValueError, match="no transmon provenance"):
+            strip.at_charge(0.2)
