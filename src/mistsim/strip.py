@@ -6,6 +6,13 @@ field with bond strength Re(sqrt(nbar - k)) * g_{k,k+1}. The sqrt cutoff turns
 the interaction off when nbar < k, which makes the strip spectrum coincide
 exactly with the full qubit-resonator ladder at fixed total excitation number.
 That spectrum does not depend on the drive frequency, so the strip holds none.
+
+``bond_amplitudes`` and ``tridiagonal_stack`` build the stack the
+propagation diagonalizes, and the oracle check (``sweep.run_oracle_check``)
+compares that same stack with ``jtc_strip_hamiltonian``. At nbar = N the
+bonds are bitwise the ladder's, so at the defaults the check reads exactly
+0.0; a bond builder without the cutoff fails it. ``find_avoided_crossings``
+refines every gap minimum in one closed-form pass.
 """
 
 from __future__ import annotations
@@ -312,14 +319,21 @@ def fan_diagram(config: StripConfig, nbar_grid: np.ndarray) -> SpectrumResult:
     return SpectrumResult(nbar_grid=nbar_grid, branches=branches, flagged_points=flagged)
 
 
-def _parabolic_refine(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Vertex of the parabola through three points, clipped to [x[0], x[2]]."""
-    coeffs = np.polyfit(x, y, 2)
-    a, b, c = coeffs
-    if a <= 0:
-        return float(x[1]), float(y[1])
-    xv = float(np.clip(-b / (2 * a), x[0], x[2]))
-    return xv, float(np.polyval(coeffs, xv))
+def _parabolic_vertices(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices of the parabolas through the (n, 3) rows of ``x`` and ``y``.
+
+    Each parabola comes from the two divided differences around the middle
+    point, written about that point. One that does not open upward keeps the
+    middle point; any other vertex is clipped to [x[:, 0], x[:, 2]].
+    """
+    h = np.diff(x, axis=1)
+    d = np.diff(y, axis=1) / h
+    curv = (d[:, 1] - d[:, 0]) / (h[:, 0] + h[:, 1])
+    slope = d[:, 0] + curv * h[:, 0]  # at the middle point
+    up = curv > 0
+    shift = np.zeros_like(slope)
+    shift[up] = np.clip(-slope[up] / (2 * curv[up]), -h[up, 0], h[up, 1])
+    return x[:, 1] + shift, y[:, 1] + shift * (slope + curv * shift)
 
 
 def find_avoided_crossings(
@@ -329,13 +343,22 @@ def find_avoided_crossings(
 
     Only interior minima are reported; the refined gap must fall inside
     [min_gap, max_gap]. The half-gap is reported as the effective coupling.
+    Records come in pair order, then grid order. The grid must ascend
+    strictly and hold one point per branch column.
     """
     # a NaN bound or an inverted window would silently report no crossing
     if not min_gap <= max_gap:
         raise ValueError(f"need min_gap <= max_gap, got min_gap={min_gap}, max_gap={max_gap}")
-    if len(spectrum.nbar_grid) < 3:
+    x = np.asarray(spectrum.nbar_grid, float)
+    if len(x) != spectrum.branches.shape[1]:
+        raise ValueError(
+            f"nbar_grid has {len(x)} points but branches have "
+            f"{spectrum.branches.shape[1]} columns"
+        )
+    if np.any(np.diff(x) <= 0):
+        raise ValueError("nbar_grid must be sorted strictly ascending")
+    if len(x) < 3:
         raise ValueError("need at least 3 grid points to locate crossings")
-    x = spectrum.nbar_grid
     a, b = np.triu_indices(spectrum.branches.shape[0], 1)
     gap = np.abs(spectrum.branches[a] - spectrum.branches[b])  # (pairs, grid)
     mid = gap[:, 1:-1]
@@ -343,12 +366,13 @@ def find_avoided_crossings(
     # registering as minima
     noise = 1e-12 + 1e-10 * mid
     pairs, points = np.nonzero((mid < gap[:, :-2] - noise) & (mid <= gap[:, 2:]))
-    records = []
-    for p, i in zip(pairs, points + 1):
-        nbar_c, gap_c = _parabolic_refine(x[i - 1 : i + 2], gap[p, i - 1 : i + 2])
-        if min_gap <= gap_c <= max_gap:
-            records.append(CrossingRecord(int(a[p]), int(b[p]), nbar_c, gap_c, gap_c / 2.0))
-    return records
+    window = points[:, None] + np.arange(3)
+    nbar_c, gap_c = _parabolic_vertices(x[window], gap[pairs[:, None], window])
+    keep = (min_gap <= gap_c) & (gap_c <= max_gap)
+    return [
+        CrossingRecord(int(a[p]), int(b[p]), float(n), float(g), float(g) / 2.0)
+        for p, n, g in zip(pairs[keep], nbar_c[keep], gap_c[keep])
+    ]
 
 
 def g_eff_perturbative(config: StripConfig, target_level: int, nbar_cross: float) -> float:

@@ -13,6 +13,13 @@ the output is identical for any worker count. Wall-clock metadata is kept
 out of the result files to preserve that. A member's sample photon numbers
 come from ``dynamics._sample_photons`` alone, so the heatmap axis ends at
 the members' last sample by construction.
+
+``run_oracle_check`` checks the propagation's own stack builder
+(``strip.bond_amplitudes`` and ``strip.tridiagonal_stack``) against the
+exact excitation-number ladder, with one stacked eigensolve per side and
+charge. At |alpha|^2 = N the builder's bonds are bitwise the ladder's, so
+the check reads exactly 0.0 at the defaults; it fails when the builder
+drops the Re(sqrt(nbar - k)) cutoff.
 """
 
 from __future__ import annotations
@@ -41,7 +48,13 @@ from .dynamics import (
 )
 from .field import DriveConfig
 from .output import provenance, write_json, write_table
-from .strip import StripConfig, _check_coupling, effective_hamiltonian, jtc_strip_hamiltonian
+from .strip import (
+    StripConfig,
+    _check_coupling,
+    bond_amplitudes,
+    jtc_strip_hamiltonian,
+    tridiagonal_stack,
+)
 from .transmon import TransmonParams, _check_finite, _check_integer, diagonalize, ej_for_frequency
 
 __all__ = [
@@ -68,18 +81,19 @@ AXIS_SLACK = 1e-12
 CHARGE_TOL = 1e-9
 
 
-def _check_charges(n_g_grid) -> None:
+def _check_charges(n_g_grid, name: str = "n_g_grid") -> None:
     """Reject an empty charge grid, or a repeated charge: it would weigh double.
 
-    Every spectrum is 1-periodic in n_g, so charges repeat modulo 1.
+    Every spectrum is 1-periodic in n_g, so charges repeat modulo 1. ``name``
+    is the grid's name in the messages.
     """
     if len(n_g_grid) == 0:
-        raise ValueError("n_g_grid must be non-empty")
+        raise ValueError(f"{name} must be non-empty")
     n_g = np.asarray(n_g_grid, float)
     gap = np.abs(n_g[:, None] - n_g) % 1.0
     apart = np.minimum(gap, 1.0 - gap)[np.triu_indices(len(n_g), 1)]
     if np.any(apart < CHARGE_TOL):
-        raise ValueError(f"n_g_grid must not repeat modulo 1, got {n_g_grid}")
+        raise ValueError(f"{name} must not repeat modulo 1, got {n_g_grid}")
 
 
 def _default_delta_grid() -> list[float]:
@@ -447,19 +461,23 @@ def strip_for_detuning(config: SweepConfig, delta: float, n_g: float) -> StripCo
     )
 
 
-def spectral_difference(strip_cfg: StripConfig, n_total: int) -> float:
+def spectral_differences(strip_cfg: StripConfig, n_max: int) -> np.ndarray:
     """Max |eigenvalue difference| between the driven strip and the exact ladder.
 
-    The driven-strip spectrum at |alpha|^2 = N contains the N-excitation
-    ladder spectrum plus the decoupled bare levels above N; both sorted sets
-    are compared entry by entry.
+    One value per total excitation number N = 0..n_max. The driven side is
+    the propagation's own stack at |alpha|^2 = N, from ``bond_amplitudes``
+    and ``tridiagonal_stack``. Its spectrum contains the N-excitation ladder
+    spectrum plus the decoupled bare levels above N, so each ladder of
+    ``jtc_strip_hamiltonian`` goes into the top left of the bare diagonal;
+    the sorted spectra are compared entry by entry.
     """
-    eff = np.linalg.eigvalsh(effective_hamiltonian(strip_cfg, np.sqrt(float(n_total))))
-    ladder = np.linalg.eigvalsh(jtc_strip_hamiltonian(strip_cfg, n_total))
-    dim = len(ladder)
-    bare_tail = strip_cfg.rotating_diagonal[dim:]
-    combined = np.sort(np.concatenate([ladder, bare_tail]))
-    return float(np.max(np.abs(eff - combined)))
+    diag = strip_cfg.rotating_diagonal
+    driven = tridiagonal_stack(diag, bond_amplitudes(strip_cfg, np.arange(n_max + 1)))
+    ladders = np.broadcast_to(np.diag(diag), driven.shape).copy()
+    for n in range(n_max + 1):
+        dim = min(len(diag), n + 1)
+        ladders[n, :dim, :dim] = jtc_strip_hamiltonian(strip_cfg, n)
+    return np.max(np.abs(np.linalg.eigvalsh(driven) - np.linalg.eigvalsh(ladders)), axis=1)
 
 
 def run_oracle_check(
@@ -473,6 +491,7 @@ def run_oracle_check(
 
     Scans total excitation numbers 0..3K (or ``n_max``) at each offset charge
     and reports the worst eigenvalue difference; passes iff below tolerance.
+    The charges follow the sweep's rule: non-empty, no repeat modulo 1.
     """
     if n_max is None:
         n_max = 3 * config.level_count
@@ -480,22 +499,20 @@ def run_oracle_check(
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     # no charge would mean no comparison, and "passed" would claim one
-    if len(n_g_values) == 0:
-        raise ValueError("n_g_values must be non-empty")
+    _check_charges(n_g_values, "n_g_values")
     # E_J is solved once, at the first charge; the others re-diagonalize
     base = strip_for_detuning(config, delta, n_g_values[0])
     strips = [base] + [base.at_charge(n_g) for n_g in n_g_values[1:]]
-    per_ng = {}
-    worst = 0.0
-    for n_g, strip_cfg in zip(n_g_values, strips):
-        diffs = [spectral_difference(strip_cfg, n) for n in range(n_max + 1)]
-        per_ng[n_g] = max(diffs)
-        worst = max(worst, per_ng[n_g])
+    per_ng = {
+        str(n_g): float(spectral_differences(strip_cfg, n_max).max())
+        for n_g, strip_cfg in zip(n_g_values, strips)
+    }
+    worst = max(per_ng.values())
     return {
         "delta": delta,
         "n_max": n_max,
         "tolerance": tolerance,
-        "max_difference_per_ng": {str(k): v for k, v in per_ng.items()},
+        "max_difference_per_ng": per_ng,
         "max_difference": worst,
         "passed": bool(worst < tolerance),
     }

@@ -48,6 +48,32 @@ def sequential_tracker(config, nbar):
     return energies, vectors, flagged
 
 
+def polyfit_vertex(x, y):
+    """Vertex of the parabola through three points by ``np.polyfit``: the reference."""
+    coeffs = np.polyfit(x, y, 2)
+    a, b, _ = coeffs
+    if a <= 0:
+        return float(x[1]), float(y[1])
+    xv = float(np.clip(-b / (2 * a), x[0], x[2]))
+    return xv, float(np.polyval(coeffs, xv))
+
+
+def polyfit_crossings(spectrum, min_gap, max_gap):
+    """Avoided crossings refined one candidate at a time by ``polyfit_vertex``."""
+    x = spectrum.nbar_grid
+    a, b = np.triu_indices(spectrum.branches.shape[0], 1)
+    gap = np.abs(spectrum.branches[a] - spectrum.branches[b])
+    mid = gap[:, 1:-1]
+    noise = 1e-12 + 1e-10 * mid
+    pairs, points = np.nonzero((mid < gap[:, :-2] - noise) & (mid <= gap[:, 2:]))
+    records = []
+    for p, i in zip(pairs, points + 1):
+        nbar_c, gap_c = polyfit_vertex(x[i - 1 : i + 2], gap[p, i - 1 : i + 2])
+        if min_gap <= gap_c <= max_gap:
+            records.append(CrossingRecord(int(a[p]), int(b[p]), nbar_c, gap_c, gap_c / 2.0))
+    return records
+
+
 def synthetic_eigen(energies, couplings):
     return TransmonEigen(
         energies=np.asarray(energies, float),
@@ -288,6 +314,63 @@ class TestAvoidedCrossings:
         branches = np.vstack([0.1 * grid, 0.1 * grid + 1.0])
         spectrum = SpectrumResult(nbar_grid=grid, branches=branches)
         assert find_avoided_crossings(spectrum, 0.0, 10.0) == []
+
+    @pytest.mark.parametrize("n_g", [0.0, 0.2])
+    @pytest.mark.parametrize("window", [(1e-3, 0.1), (1e-4, 0.2), (0.0, np.inf)])
+    def test_matches_the_polyfit_refinement(self, n_g, window):
+        # the per-candidate np.polyfit loop that the closed form replaced
+        spectrum = fan_diagram(
+            strip_for_detuning(SweepConfig(), REF_DELTA, n_g), np.arange(0.0, 60.0 + 1e-9, 0.25)
+        )
+        records = find_avoided_crossings(spectrum, *window)
+        expected = polyfit_crossings(spectrum, *window)
+        assert records
+        assert [(r.branch_a, r.branch_b) for r in records] == [
+            (r.branch_a, r.branch_b) for r in expected
+        ]
+        for rec, ref in zip(records, expected):
+            assert abs(rec.nbar_cross - ref.nbar_cross) <= 1e-9
+            assert abs(rec.gap - ref.gap) <= 1e-11
+            assert rec.g_eff == rec.gap / 2.0
+
+    def test_vertices_match_polyfit_on_random_triples(self):
+        rng = np.random.default_rng(2024)
+        n = 400
+        x = np.cumsum(rng.uniform(0.05, 1.0, (n, 3)), axis=1) + rng.uniform(0.0, 60.0, (n, 1))
+        # opening down or up, vertex left of, inside or right of the triple
+        curv = rng.choice([-1.0, 1.0], n) * rng.uniform(0.01, 2.0, n)
+        where = rng.choice([-1, 0, 1], n)
+        center = np.where(where == 0, x[:, 1], np.where(where < 0, x[:, 0] - 2.0, x[:, 2] + 2.0))
+        center += (where == 0) * rng.uniform(-0.02, 0.02, n)
+        y = curv[:, None] * (x - center[:, None]) ** 2 + rng.uniform(0.0, 0.1, (n, 1))
+        xv, yv = strip._parabolic_vertices(x, y)
+        expected = np.array([polyfit_vertex(xi, yi) for xi, yi in zip(x, y)])
+        down = curv < 0
+        assert np.any(down)
+        assert np.any(~down & (where < 0)) and np.any(~down & (where > 0))
+        assert np.array_equal(xv[down], x[down, 1]) and np.array_equal(yv[down], y[down, 1])
+        assert np.array_equal(xv[~down & (where < 0)], x[~down & (where < 0), 0])
+        assert np.array_equal(xv[~down & (where > 0)], x[~down & (where > 0), 2])
+        assert np.max(np.abs(xv - expected[:, 0])) <= 1e-9
+        assert np.max(np.abs(yv - expected[:, 1])) <= 1e-11
+
+    @pytest.mark.parametrize(
+        "grid",
+        [np.array([0.0, 1.0, 1.0, 2.0]), np.array([0.0, 2.0, 1.0, 3.0])],
+        ids=["repeated", "descending"],
+    )
+    def test_grid_that_does_not_ascend_rejected(self, grid):
+        # a repeated point would divide by zero in the refinement
+        branches = np.vstack([np.zeros(4), [1.0, 0.5, 0.4, 1.0]])
+        with pytest.raises(ValueError, match="strictly ascending"):
+            find_avoided_crossings(SpectrumResult(grid, branches), 0.0, 10.0)
+
+    def test_grid_of_another_length_rejected(self):
+        # used to report crossings at 2.5 and 7.5 photons on a grid twice as long
+        grid = np.linspace(0.0, 20.0, 201)
+        branches = np.vstack([np.zeros(101), 1.0 + 0.5 * np.cos(2 * np.pi * grid[:101] / 5)])
+        with pytest.raises(ValueError, match="201 points but branches have 101 columns"):
+            find_avoided_crossings(SpectrumResult(grid, branches), 0.0, 10.0)
 
     def test_requires_three_points(self):
         spectrum = SpectrumResult(

@@ -8,14 +8,14 @@ import pytest
 
 import mistsim.sweep as sweep_mod
 from mistsim.dynamics import _sample_photons
-from mistsim.strip import StripConfig, effective_hamiltonian, jtc_strip_hamiltonian
+from mistsim.strip import StripConfig, jtc_strip_hamiltonian
 from mistsim.sweep import (
     SweepConfig,
     charge_averaged_survival,
     config_hash,
     run_oracle_check,
     run_sweep,
-    spectral_difference,
+    spectral_differences,
     strip_for_detuning,
 )
 from mistsim.transmon import TransmonEigen, TransmonParams, ej_for_frequency
@@ -369,6 +369,14 @@ class TestOracleCheck:
         with pytest.raises(ValueError, match="n_g_values must be non-empty"):
             run_oracle_check(SweepConfig(), n_g_values=())
 
+    @pytest.mark.parametrize(
+        "n_g_values", [(0.2, 0.2), (0.2, -0.8)], ids=["repeat", "repeat-mod-1"]
+    )
+    def test_repeated_charge_rejected(self, n_g_values):
+        # both used to be computed twice and reported once
+        with pytest.raises(ValueError, match="n_g_values must not repeat modulo 1"):
+            run_oracle_check(SweepConfig(), n_g_values=n_g_values)
+
     @pytest.mark.parametrize("n_max", [True, 2.5, np.float64(3.0)])
     def test_n_max_must_be_an_integer(self, n_max):
         # True would scan N <= 1 and report "n_max": true
@@ -393,7 +401,7 @@ class TestOracleCheck:
         report = run_oracle_check(cfg, n_max=1, n_g_values=(0.0,))
         assert report["passed"]
         strip_cfg = sweep_mod.strip_for_detuning(cfg, 1.1, 0.0)
-        assert spectral_difference(strip_cfg, 1) < 1e-14
+        assert np.all(spectral_differences(strip_cfg, 1) < 1e-14)
 
     def test_detects_missing_interaction_cutoff(self):
         # deliberate defect: bonds scaled by sqrt(nbar) with no per-level cutoff
@@ -419,8 +427,20 @@ class TestOracleCheck:
     def test_correct_hamiltonian_matches_where_defect_does_not(self):
         cfg = SweepConfig()
         strip_cfg = sweep_mod.strip_for_detuning(cfg, 1.1, 0.2)
-        for n_total in range(0, 20):
-            assert spectral_difference(strip_cfg, n_total) < 1e-12
+        diffs = spectral_differences(strip_cfg, 19)
+        assert diffs.shape == (20,)
+        assert np.all(diffs < 1e-12)
+
+    def test_detects_missing_cutoff_in_the_propagation_bonds(self, monkeypatch):
+        # the driven side is the propagation's own bond builder, so its defect shows
+        def uncut(config, nbar):
+            root = np.sqrt(np.asarray(nbar, float))[..., None]
+            return root * (config.eigen.couplings * config.coupling)
+
+        monkeypatch.setattr(sweep_mod, "bond_amplitudes", uncut)
+        report = run_oracle_check(SweepConfig(), n_max=10)
+        assert report["passed"] is False
+        assert report["max_difference"] > 1e-6
 
 
 class TestAtCharge:
