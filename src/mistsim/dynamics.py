@@ -313,8 +313,8 @@ def propagate_states(config: SimulationConfig, states) -> list[PopulationTrace]:
     nbar_n = np.abs(alpha_n) ** 2
     rate = _cf4_substeps(_frame_rate(strip_cfg.omega_r, drive, nodes, alpha_n, nbar_n))
     # the bonds carry alpha where the lab Hamiltonian has conj(alpha), so a drive
-    # at omega_d acts at 2*omega_r - omega_d; the mend flips this term's sign
-    # and conjugates the phase of ``strip.effective_hamiltonian``
+    # at omega_d acts at 2*omega_r - omega_d; the mend flips this term's sign and
+    # conjugates the lab reference in test_gauge_optimization_matches_brute_force
     diag = strip_cfg.rotating_diagonal / 2 - np.arange(k_count) * rate[:, None] / (2 * np.pi)
     bonds, sub_h = _cf4_substeps(bond_amplitudes(strip_cfg, nbar_n)), np.repeat(h, 2)
     # a state after every full step, STEP_CHUNK sub-steps at a time, then

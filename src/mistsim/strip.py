@@ -11,8 +11,10 @@ That spectrum does not depend on the drive frequency, so the strip holds none.
 propagation diagonalizes, and the oracle check (``sweep.run_oracle_check``)
 compares that same stack with ``jtc_strip_hamiltonian``. At nbar = N the
 bonds are bitwise the ladder's, so at the defaults the check reads exactly
-0.0; a bond builder without the cutoff fails it. ``find_avoided_crossings``
-refines every gap minimum in one closed-form pass.
+0.0; a bond builder without the cutoff fails it. The stack is real: the
+drive frame (``dynamics``) gauges out the field's phase, and the complex
+lab-frame matrix is a test reference. ``find_avoided_crossings`` refines
+every gap minimum in one closed-form pass.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ __all__ = [
     "SpectrumResult",
     "CrossingRecord",
     "tridiagonal_stack",
-    "effective_hamiltonian",
     "jtc_strip_hamiltonian",
     "fan_diagram",
     "find_avoided_crossings",
@@ -171,40 +172,23 @@ def tridiagonal_stack(diag: np.ndarray, bonds: np.ndarray) -> np.ndarray:
     return h
 
 
-def effective_hamiltonian(config: StripConfig, alpha: complex) -> np.ndarray:
-    """K x K Hermitian matrix (GHz) of the strip under the field ``alpha``.
-
-    ``alpha`` is in the resonator frame, alpha(t) * exp(i*2*pi*(omega_r -
-    omega_d)*t) for a drive at omega_d; the off-diagonal carries its phase
-    alpha/|alpha|, and at alpha = 0 the interaction vanishes identically.
-    """
-    mag = abs(alpha)
-    unit = alpha / mag if mag > 0 else 1.0
-    bonds = complex(unit) * bond_amplitudes(config, mag**2)
-    return tridiagonal_stack(config.rotating_diagonal, bonds[None])[0]
-
-
 def jtc_strip_hamiltonian(config: StripConfig, n_total: int) -> np.ndarray:
     """Excitation-number strip of the full qubit-resonator ladder.
 
     Basis |k, N-k> for k = 0..min(K-1, N) with the constant N*omega_r offset
-    removed; eigenvalues equal those of ``effective_hamiltonian`` at
-    |alpha|^2 = N, up to the decoupled bare levels k > N.
+    removed; eigenvalues equal those of the real stack at nbar = N
+    (``tridiagonal_stack`` of ``bond_amplitudes``), up to the decoupled bare
+    levels k > N.
     """
     _check_integer("n_total", n_total)
     if n_total < 0:
         raise ValueError(f"n_total must be >= 0, got {n_total}")
     dim = min(config.level_count, n_total + 1)
     h = np.diag(config.rotating_diagonal[:dim])
-    if dim > 1:
-        kb = np.arange(dim - 1)
-        bonds = (
-            config.eigen.couplings[: dim - 1]
-            * config.coupling
-            * np.sqrt(n_total - kb)
-        )
-        h[kb, kb + 1] = bonds
-        h[kb + 1, kb] = bonds
+    kb = np.arange(dim - 1)
+    bonds = config.eigen.couplings[kb] * config.coupling * np.sqrt(n_total - kb)
+    h[kb, kb + 1] = bonds
+    h[kb + 1, kb] = bonds
     return h
 
 

@@ -8,11 +8,12 @@ the one re-diagonalization at an offset charge, and propagates all initial
 states through the point's shared Hamiltonian stack, returning a curve per
 (delta, n_g, state) member. ``run_sweep`` maps it over every (delta, n_g)
 point, n_g fastest; ``charge_averaged_survival`` loops it over one member's
-charges. Workers are stateless and results are collected in point order, so
-the output is identical for any worker count. Wall-clock metadata is kept
-out of the result files to preserve that. A member's sample photon numbers
-come from ``dynamics._sample_photons`` alone, so the heatmap axis ends at
-the members' last sample by construction.
+charges, and both average over charge with ``_charge_average``, the one home
+of the charge weights. Workers are stateless and results are collected in
+point order, so the output is identical for any worker count. Wall-clock
+metadata is kept out of the result files to preserve that. A member's
+sample photon numbers come from ``dynamics._sample_photons`` alone, so the
+heatmap axis ends at the members' last sample by construction.
 
 ``run_oracle_check`` checks the propagation's own stack builder
 (``strip.bond_amplitudes`` and ``strip.tridiagonal_stack``) against the
@@ -302,6 +303,15 @@ def _write_failure_artifacts(
     np.savez(os.path.join(config.out_dir, curves_file), **arrays)
 
 
+def _charge_average(curves: np.ndarray) -> np.ndarray:
+    """Uniform mean over the charge axis (-2) of ``curves``: each charge weighs 1/len.
+
+    Not the full-period weights of a grid folded onto [-0.5, 0]; see the
+    charge-weights FOUND line in CHANGES.md.
+    """
+    return curves.mean(axis=-2)
+
+
 def _point_survival(task) -> list[np.ndarray]:
     """Survival curves of one (delta, n_g) point, one per state in ``task[2]``.
 
@@ -321,11 +331,11 @@ def charge_averaged_survival(
     """Uniform average of survival curves over an offset-charge grid.
 
     Member curves are interpolated onto a common photon-number axis (the
-    members' own sample photon numbers unless one is given) and averaged with
-    equal weights. Each member is the sweep's point computation at one charge.
-    A given axis must ascend strictly from >= 0 and end no later than the
-    members' last sample (plus ``AXIS_SLACK``): past it, interpolation would
-    repeat the last survival value as if it had been computed.
+    members' own sample photon numbers unless one is given) and averaged by
+    ``_charge_average``. Each member is the sweep's point computation at one
+    charge. A given axis must ascend strictly from >= 0 and end no later than
+    the members' last sample (plus ``AXIS_SLACK``): past it, interpolation
+    would repeat the last survival value as if it had been computed.
     """
     if n_g_grid is None:
         n_g_grid = DEFAULT_NG_GRID
@@ -350,7 +360,7 @@ def charge_averaged_survival(
             raise RuntimeError(f"member simulation failed at n_g={n_g}") from exc
     return SurvivalCurve(
         nbar_axis=nbar_axis,
-        survival_running_min=np.stack(members).mean(axis=0),
+        survival_running_min=_charge_average(np.stack(members)),
     )
 
 
@@ -403,7 +413,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     onsets = {}
     boundaries: dict[int, TransitionBoundary | str] = {}
     for j, state in enumerate(states):
-        heatmap = members[:, :, j].mean(axis=1)
+        heatmap = _charge_average(members[:, :, j])
         if np.any(heatmap < 0) or np.any(heatmap > 1 + 1e-9):
             raise RuntimeError("survival heatmap left [0, 1]")
         heatmaps[state] = heatmap

@@ -119,6 +119,8 @@ class TransmonEigen:
     def anharmonicity(self) -> float:
         """(E1 - E0) - (E2 - E1) in GHz; positive in the transmon regime."""
         e = self.energies
+        if len(e) < 3:
+            raise ValueError(f"anharmonicity needs at least 3 levels, got {len(e)}")
         return float((e[1] - e[0]) - (e[2] - e[1]))
 
 

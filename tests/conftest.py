@@ -10,7 +10,7 @@ import pytest
 
 from mistsim.dynamics import SimulationConfig, propagate
 from mistsim.field import DriveConfig
-from mistsim.strip import StripConfig
+from mistsim.strip import StripConfig, bond_amplitudes
 from mistsim.transmon import TransmonParams, diagonalize, ej_for_frequency
 
 E_C = 0.194
@@ -21,6 +21,25 @@ EPSILON = 0.045
 DURATION = 100.0
 REF_DELTA = 1.1
 REF_NG = 0.2
+
+
+def lab_strip_hamiltonian(strip, alpha):
+    """Complex K x K strip Hamiltonian (GHz) under the resonator-frame field ``alpha``.
+
+    The lab-frame reference for the real drive-frame stack: the upper
+    off-diagonal carries the field's phase alpha/|alpha| (1 at alpha = 0) and
+    the lower one its conjugate. It is built from ``np.diag`` and
+    ``bond_amplitudes``, not ``tridiagonal_stack``, so it shares no stack code
+    with the propagation.
+    """
+    mag = abs(alpha)
+    unit = alpha / mag if mag > 0 else 1.0
+    bonds = unit * bond_amplitudes(strip, mag**2)
+    h = np.diag(strip.rotating_diagonal).astype(complex)
+    k = np.arange(len(bonds))
+    h[k, k + 1] = bonds
+    h[k + 1, k] = np.conj(bonds)
+    return h
 
 
 @pytest.fixture(scope="session")

@@ -299,6 +299,7 @@ class TestErrorHandling:
                 ["calibrate", "--target-level", "9"],
                 "--target-level and --nbar-cross must be given together",
             ),
+            (["calibrate", "--levels", "2"], "anharmonicity needs at least 3 levels, got 2"),
         ],
         ids=[
             "fan-step-zero",
@@ -321,6 +322,7 @@ class TestErrorHandling:
             "fan-max-inf",
             "calibrate-nbar-cross-alone",
             "calibrate-target-level-alone",
+            "calibrate-two-levels",
         ],
     )
     def test_bad_number_is_named(self, capsys, tmp_path, argv, detail):

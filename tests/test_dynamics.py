@@ -22,7 +22,7 @@ from mistsim.strip import StripConfig
 from mistsim.sweep import SweepConfig, charge_averaged_survival, strip_for_detuning
 from mistsim.transmon import TransmonEigen
 
-from conftest import EPSILON, KAPPA, OMEGA_R
+from conftest import EPSILON, KAPPA, OMEGA_R, lab_strip_hamiltonian
 
 
 def make_trace(nbar, survival):
@@ -165,7 +165,7 @@ class TestPropagate:
     def test_gauge_optimization_matches_brute_force(self, ref_strip):
         # the real drive-frame stack must reproduce a direct propagation of
         # the full complex Hamiltonian when drive, frame and field all detune
-        from mistsim.strip import effective_hamiltonian, match_branches
+        from mistsim.strip import match_branches
 
         strip = ref_strip
         square = DriveConfig(
@@ -185,7 +185,7 @@ class TestPropagate:
             theta = 2 * np.pi * (OMEGA_R - drive.omega_d)
 
             def lab_hamiltonian(alpha, t):
-                return effective_hamiltonian(strip, alpha * np.exp(1j * theta * t))
+                return lab_strip_hamiltonian(strip, alpha * np.exp(1j * theta * t))
 
             edges = _step_edges(drive, sim.dt, np.arange(1, 19))
             h = np.diff(edges)
@@ -560,6 +560,19 @@ class TestChargeAveraging:
         member = survival_vs_nbar(propagate(ref_sim))
         assert np.allclose(averaged.survival_running_min, member.survival_running_min)
         assert np.allclose(averaged.nbar_axis, member.nbar_axis)
+
+    def test_each_charge_weighs_a_third(self, ref_sim):
+        # uniform weights, each member propagated on its own; reweighting the
+        # charges (ROADMAP item 2) changes this test on purpose
+        n_g_grid = [-0.5, -0.25, 0.0]
+        curve = charge_averaged_survival(ref_sim, n_g_grid=n_g_grid)
+        members = [
+            survival_vs_nbar(propagate(replace(ref_sim, strip=ref_sim.strip.at_charge(n_g))))
+            for n_g in n_g_grid
+        ]
+        assert all(np.array_equal(m.nbar_axis, curve.nbar_axis) for m in members)
+        a, b, c = (m.survival_running_min for m in members)
+        assert np.array_equal(curve.survival_running_min, (a + b + c) / 3)
 
     def test_reference_average_departs_near_crossing(self, ref_sim):
         curve = charge_averaged_survival(ref_sim)

@@ -13,7 +13,6 @@ from mistsim.strip import (
     SpectrumResult,
     StripConfig,
     bond_amplitudes,
-    effective_hamiltonian,
     fan_diagram,
     find_avoided_crossings,
     g_eff_perturbative,
@@ -25,7 +24,7 @@ from mistsim.strip import (
 from mistsim.sweep import SweepConfig, strip_for_detuning
 from mistsim.transmon import TransmonEigen, TransmonParams, diagonalize, ej_for_frequency
 
-from conftest import E_C, EPSILON, K_EFF, OMEGA_R, REF_DELTA
+from conftest import E_C, EPSILON, K_EFF, OMEGA_R, REF_DELTA, lab_strip_hamiltonian
 
 
 def sequential_tracker(config, nbar):
@@ -74,6 +73,11 @@ def polyfit_crossings(spectrum, min_gap, max_gap):
     return records
 
 
+def real_stack(config, nbar):
+    """The propagation's real K x K strip matrix at photon number ``nbar``."""
+    return tridiagonal_stack(config.rotating_diagonal, bond_amplitudes(config, [nbar]))[0]
+
+
 def synthetic_eigen(energies, couplings):
     return TransmonEigen(
         energies=np.asarray(energies, float),
@@ -83,14 +87,17 @@ def synthetic_eigen(energies, couplings):
 
 
 class TestEffectiveHamiltonian:
+    # the strip's effective Hamiltonian: the propagation's real drive-frame
+    # stack, and the complex lab-frame reference it is gauge-equivalent to
     def test_zero_field_is_diagonal(self, ref_strip):
-        h = effective_hamiltonian(ref_strip, 0.0)
-        assert np.array_equal(h, np.diag(ref_strip.rotating_diagonal).astype(complex))
+        diag = np.diag(ref_strip.rotating_diagonal)
+        assert np.array_equal(real_stack(ref_strip, 0.0), diag)
+        assert np.array_equal(lab_strip_hamiltonian(ref_strip, 0.0), diag)
 
     def test_bond_cutoff_at_low_photon_number(self, ref_strip):
-        h = effective_hamiltonian(ref_strip, np.sqrt(3.5))
-        assert h[4, 5] == 0.0 and h[5, 6] == 0.0
-        assert h[3, 4] != 0.0
+        bonds = bond_amplitudes(ref_strip, 3.5)
+        assert bonds[4] == 0.0 and bonds[5] == 0.0
+        assert bonds[3] != 0.0
 
     @pytest.mark.parametrize("kind", ["resonant", "dressed", "field_detuned", "tabulated"])
     def test_frame_rate_is_bond_phase_rate(self, ref_drive, kind):
@@ -116,16 +123,15 @@ class TestEffectiveHamiltonian:
         assert np.allclose(rate, (after - before) / (2 * h), rtol=1e-6, atol=0)
 
     def test_hermitian(self, ref_strip):
-        h = effective_hamiltonian(ref_strip, 1.7 * np.exp(0.6j))
+        h = lab_strip_hamiltonian(ref_strip, 1.7 * np.exp(0.6j))
         assert np.allclose(h, h.conj().T, atol=0)
 
     def test_spectrum_independent_of_field_phase(self, ref_strip):
+        # the gauge argument for the real frame: the field's phase drops out
         nbar = 17.0
-        w0 = np.linalg.eigvalsh(effective_hamiltonian(ref_strip, np.sqrt(nbar)))
-        w1 = np.linalg.eigvalsh(
-            effective_hamiltonian(ref_strip, np.sqrt(nbar) * np.exp(2.1j))
-        )
-        assert np.allclose(w0, w1, atol=1e-12)
+        w0 = np.linalg.eigvalsh(real_stack(ref_strip, nbar))
+        w1 = np.linalg.eigvalsh(lab_strip_hamiltonian(ref_strip, np.sqrt(nbar) * np.exp(2.1j)))
+        assert np.allclose(w0, w1, rtol=0, atol=1e-12)
 
 
 class TestLadderStrip:
@@ -135,14 +141,15 @@ class TestLadderStrip:
         assert h[0, 0] == 0.0  # E_0 referenced to zero
 
     def test_entries_match_effective_block(self, ref_strip):
+        # at nbar = N the stack's bonds are bitwise the ladder's
         n_total = 7
-        eff = effective_hamiltonian(ref_strip, np.sqrt(float(n_total)))
+        stack = real_stack(ref_strip, float(n_total))
         ladder = jtc_strip_hamiltonian(ref_strip, n_total)
-        assert np.allclose(eff[: n_total + 1, : n_total + 1], ladder, atol=1e-12)
+        assert np.array_equal(stack[: n_total + 1, : n_total + 1], ladder)
 
     @pytest.mark.parametrize("n_total", [1, 5, 19, 20, 45])
     def test_spectral_identity(self, ref_strip, n_total):
-        eff = np.linalg.eigvalsh(effective_hamiltonian(ref_strip, np.sqrt(float(n_total))))
+        eff = np.linalg.eigvalsh(real_stack(ref_strip, float(n_total)))
         ladder = np.linalg.eigvalsh(jtc_strip_hamiltonian(ref_strip, n_total))
         bare = ref_strip.rotating_diagonal[len(ladder) :]
         assert np.max(np.abs(eff - np.sort(np.concatenate([ladder, bare])))) < 1e-12

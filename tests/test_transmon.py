@@ -94,6 +94,12 @@ class TestDiagonalize:
         eigen = diagonalize(TransmonParams(e_c=E_C, e_j=ref_ej, n_g=0.0))
         assert abs(eigen.anharmonicity - E_C) / E_C < 0.15
 
+    def test_anharmonicity_needs_three_levels(self, ref_ej):
+        # with two levels it failed on numpy's "index 2 is out of bounds"
+        eigen = diagonalize(TransmonParams(e_c=E_C, e_j=ref_ej, level_count=2))
+        with pytest.raises(ValueError, match="at least 3 levels, got 2"):
+            eigen.anharmonicity
+
     def test_gauge_fixing(self, ref_eigen):
         assert ref_eigen.couplings[0] == 1.0
         assert np.all(ref_eigen.couplings >= 0)
