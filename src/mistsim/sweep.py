@@ -75,6 +75,11 @@ _FAILURE_FILES = ("failure_manifest.json", "partial_curves.npz")
 
 # the float settings that no part of a member checks
 _FLOAT_SETTINGS = ("omega_r", "delta_grid", "n_g_grid", "dt", "threshold", "nbar_step")
+# every scalar float setting; None stays None
+_SCALAR_FLOATS = (
+    "e_c", "k_eff", "g", "omega_r", "omega_d", "omega_r_dressed",
+    "kappa", "epsilon", "duration", "dt", "threshold", "nbar_step",
+)
 
 # photons the heatmap axis may reach past the members' last sample
 AXIS_SLACK = 1e-12
@@ -165,7 +170,15 @@ class SweepConfig:
         _check_integer("workers", self.workers)
         if self.workers < 1:
             raise ValueError(f"worker count must be >= 1, got {self.workers}")
-        # plain values: numpy ones would fail json.dumps in config_hash and to_json
+        # plain values: numpy ones would fail json.dumps in config_hash and to_json,
+        # and an int would hash apart from its float
+        for name in _SCALAR_FLOATS:
+            value = getattr(self, name)
+            # a JSON true can pass the range checks above as 1
+            if isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if value is not None:
+                setattr(self, name, float(value))
         self.delta_grid = [float(delta) for delta in self.delta_grid]
         self.n_g_grid = [float(n_g) for n_g in self.n_g_grid]
         self.initial_states = states

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -202,10 +203,22 @@ def ej_for_frequency(
     in E_J, so the root is unique. The root matches scipy's ``brentq`` with the
     same bracket and tolerances bit for bit. Converged to better than 1 kHz on
     the frequency.
+
+    The inputs are checked on every call. The root is then memoized per
+    (e_c, target, cutoff), taken as plain Python numbers, so a repeat call
+    returns the same float without an eigensolve; a failed solve is not kept.
     """
-    params = TransmonParams(e_c=e_c, e_j=0.0, charge_cutoff=charge_cutoff, level_count=2)
+    # checked before the lookup, so a cached root cannot bypass a check
+    TransmonParams(e_c=e_c, e_j=0.0, charge_cutoff=charge_cutoff, level_count=2)
     if not 0 < target_omega_q < np.inf:
         raise ValueError(f"target frequency must be positive and finite, got {target_omega_q}")
+    return _solve_ej(float(e_c), float(target_omega_q), int(charge_cutoff))
+
+
+@lru_cache(maxsize=1024)
+def _solve_ej(e_c: float, target_omega_q: float, charge_cutoff: int) -> float:
+    """The root of ``ej_for_frequency`` for inputs it has already checked."""
+    params = TransmonParams(e_c=e_c, e_j=0.0, charge_cutoff=charge_cutoff, level_count=2)
 
     def freq_error(e_j: float) -> float:
         evals, _ = _eigensystem(replace(params, e_j=e_j))

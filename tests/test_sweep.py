@@ -238,6 +238,34 @@ class TestSweepConfig:
         # change of a default moves it
         assert config_hash(SweepConfig()) == "d7565976aae8fdc4"
 
+    def test_integer_setting_hashes_as_its_float(self):
+        # duration=100 hashed to adfaea2f598e0340: the same physics, a second hash
+        cfg = SweepConfig(duration=100)
+        assert type(cfg.duration) is float
+        assert config_hash(cfg) == "d7565976aae8fdc4"
+
+    def test_numpy_float_settings_become_plain_floats(self, tmp_path):
+        # a float32 epsilon built, ran every member, then failed json.dumps in config_hash
+        cfg = SweepConfig(
+            delta_grid=[1.1],
+            n_g_grid=[0.0],
+            initial_states=[0],
+            duration=20.0,
+            epsilon=np.float32(0.045),
+            threshold=np.float32(0.9),
+            kappa=np.array(1.0 / 22.0),
+            out_dir=str(tmp_path / "out"),
+        )
+        for name in sweep_mod._SCALAR_FLOATS:
+            value = getattr(cfg, name)
+            assert value is None or type(value) is float, name
+        assert cfg.g is None and cfg.omega_d is None and cfg.omega_r_dressed is None
+        assert cfg.epsilon == float(np.float32(0.045))
+        assert cfg.kappa == 1.0 / 22.0
+        run_sweep(cfg)
+        cfg.to_json(tmp_path / "config.json")
+        assert SweepConfig.from_json(tmp_path / "config.json") == cfg
+
     def test_truncation_defaults_are_the_transmon_defaults(self):
         cfg = SweepConfig()
         assert cfg.level_count == TransmonParams.level_count
@@ -325,6 +353,8 @@ class TestSweepConfig:
             ({"omega_r": -1.0, "delta_grid": [6.0, 6.5]}, "omega_r must be positive, got -1.0"),
             ({"omega_r": 0.0}, "omega_r must be positive, got 0.0"),
             ({"n_g_grid": [0.0, 0.0]}, "n_g_grid must not repeat"),
+            ({"epsilon": True}, "epsilon must be a number, got True"),
+            ({"k_eff": True}, "k_eff must be a number, got True"),
         ],
     )
     def test_rejected_when_built(self, overrides, match, tmp_path):

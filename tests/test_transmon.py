@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 from dataclasses import replace
-from scipy.optimize import brentq
 
+import mistsim.transmon as transmon_mod
 from mistsim.sweep import SweepConfig
 from mistsim.transmon import (
     TransmonParams,
     _brentq,
+    _solve_ej,
     build_charge_hamiltonian,
     charge_dispersion,
     diagonalize,
@@ -214,8 +215,94 @@ class TestEjForFrequency:
         with pytest.raises(ValueError, match=f"positive and finite, got {target}"):
             ej_for_frequency(E_C, target)
 
+    def test_float32_charging_energy_is_solved_at_its_value(self, cold_ej):
+        # the float32 E_C failed to converge after 100 Brent iterations
+        e_c = np.float32(0.194)
+        e_j = ej_for_frequency(e_c, 5.85)
+        _solve_ej.cache_clear()
+        assert e_j == ej_for_frequency(float(e_c), 5.85)
+        eigen = diagonalize(TransmonParams(e_c=float(e_c), e_j=e_j, n_g=0.0))
+        assert abs(eigen.qubit_frequency - 5.85) < 1e-6
 
-def _scipy_ej(e_c, target):
+
+@pytest.fixture
+def cold_ej():
+    """An empty E_J memo before and after the test, whatever ran before it."""
+    _solve_ej.cache_clear()
+    yield
+    _solve_ej.cache_clear()
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """A list that grows by one entry per charge-basis eigensolve."""
+    calls = []
+    solve = transmon_mod._eigensystem
+
+    def counted(params):
+        calls.append(params)
+        return solve(params)
+
+    monkeypatch.setattr(transmon_mod, "_eigensystem", counted)
+    return calls
+
+
+@pytest.mark.usefixtures("cold_ej")
+class TestEjMemo:
+    def test_repeat_call_solves_nothing(self, eigensolves):
+        first = ej_for_frequency(E_C, 5.85)
+        assert len(eigensolves) > 0
+        solved = len(eigensolves)
+        assert ej_for_frequency(E_C, 5.85, 30) is first
+        assert len(eigensolves) == solved
+
+    @pytest.mark.parametrize("cutoff", [30.0, True])
+    def test_cutoff_checked_after_a_cached_root(self, cutoff):
+        ej_for_frequency(0.194, 5.85, 30)
+        with pytest.raises(ValueError, match=f"charge_cutoff must be an integer, got {cutoff}"):
+            ej_for_frequency(0.194, 5.85, cutoff)
+
+    @pytest.mark.parametrize("target", [np.nan, np.inf, 0.0, -5.85])
+    def test_bad_target_raises_on_every_call(self, target):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="positive and finite"):
+                ej_for_frequency(E_C, target)
+
+    def test_failed_solve_is_not_kept(self, eigensolves):
+        messages, solves = [], []
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not bracketed") as exc:
+                ej_for_frequency(0.194, 0.1)
+            messages.append(str(exc.value))
+            solves.append(len(eigensolves))
+        assert messages[0] == messages[1]
+        # the second call searched the whole bracket again
+        assert solves[1] == 2 * solves[0] > 0
+        assert _solve_ej.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("typed", [np.float64(5.85), np.array(5.85)], ids=["float64", "0-d"])
+    def test_numpy_target_gives_the_plain_bits(self, typed):
+        plain = ej_for_frequency(E_C, 5.85)
+        _solve_ej.cache_clear()
+        assert ej_for_frequency(E_C, typed).hex() == plain.hex()
+
+    def test_cold_and_warm_give_the_same_bits(self):
+        cold = ej_for_frequency(E_C, OMEGA_R + REF_DELTA)
+        warm = ej_for_frequency(E_C, OMEGA_R + REF_DELTA)
+        _solve_ej.cache_clear()
+        again = ej_for_frequency(E_C, OMEGA_R + REF_DELTA)
+        assert cold.hex() == warm.hex() == again.hex()
+
+
+@pytest.fixture
+def brentq():
+    """scipy's brentq, the reference of the port; scipy is a test extra only."""
+    from scipy.optimize import brentq
+
+    return brentq
+
+
+def _scipy_ej(brentq, e_c, target):
     """E_J from scipy's brentq on the bracket that ej_for_frequency searches."""
 
     def freq_error(e_j):
@@ -246,10 +333,10 @@ EJ_TARGETS = {
 
 class TestBrentq:
     @pytest.mark.parametrize("grid", sorted(EJ_TARGETS))
-    def test_ej_equals_scipy_bit_for_bit(self, grid):
+    def test_ej_equals_scipy_bit_for_bit(self, grid, brentq):
         targets = EJ_TARGETS[grid]
         ours = [ej_for_frequency(e_c, target) for e_c, target in targets]
-        assert ours == [_scipy_ej(e_c, target) for e_c, target in targets]
+        assert ours == [_scipy_ej(brentq, e_c, target) for e_c, target in targets]
 
     @pytest.mark.parametrize(
         "f, a, b",
@@ -262,33 +349,38 @@ class TestBrentq:
         ids=["cubic", "cos", "steep", "step"],
     )
     @pytest.mark.parametrize("xtol, rtol", [(2e-12, 8.881784197001252e-16), (1e-10, 8.9e-16), (1e-3, 1e-6)])
-    def test_root_equals_scipy_bit_for_bit(self, f, a, b, xtol, rtol):
+    def test_root_equals_scipy_bit_for_bit(self, f, a, b, xtol, rtol, brentq):
         root, f_root = _brentq(f, a, b, f(a), f(b), xtol, rtol)
         assert root == brentq(f, a, b, xtol=xtol, rtol=rtol)
         assert f_root == f(root)
 
-    @staticmethod
-    def _same_error(exc_type, f, a, b, maxiter=100):
-        with pytest.raises(exc_type) as ref:
-            brentq(f, a, b, xtol=1e-10, rtol=8.9e-16, maxiter=maxiter)
-        with pytest.raises(exc_type) as ours:
-            _brentq(f, a, b, f(a), f(b), 1e-10, 8.9e-16, maxiter)
-        assert str(ours.value) == str(ref.value)
+    @pytest.fixture
+    def same_error(self, brentq):
+        """Assert that the port raises scipy's exception type and message."""
 
-    def test_nan_at_an_end_raises(self):
-        self._same_error(ValueError, lambda x: np.nan if x < 0.5 else x, 0.0, 1.0)
+        def check(exc_type, f, a, b, maxiter=100):
+            with pytest.raises(exc_type) as ref:
+                brentq(f, a, b, xtol=1e-10, rtol=8.9e-16, maxiter=maxiter)
+            with pytest.raises(exc_type) as ours:
+                _brentq(f, a, b, f(a), f(b), 1e-10, 8.9e-16, maxiter)
+            assert str(ours.value) == str(ref.value)
 
-    def test_nan_inside_raises(self):
-        self._same_error(ValueError, lambda x: x - 0.5 if x in (0.0, 1.0) else np.nan, 0.0, 1.0)
+        return check
 
-    def test_same_sign_bracket_raises(self):
-        self._same_error(ValueError, lambda x: x + 1.0, 0.0, 1.0)
+    def test_nan_at_an_end_raises(self, same_error):
+        same_error(ValueError, lambda x: np.nan if x < 0.5 else x, 0.0, 1.0)
 
-    def test_no_convergence_raises(self):
-        self._same_error(RuntimeError, lambda x: x**3 - 2, 0.0, 2.0, maxiter=2)
+    def test_nan_inside_raises(self, same_error):
+        same_error(ValueError, lambda x: x - 0.5 if x in (0.0, 1.0) else np.nan, 0.0, 1.0)
+
+    def test_same_sign_bracket_raises(self, same_error):
+        same_error(ValueError, lambda x: x + 1.0, 0.0, 1.0)
+
+    def test_no_convergence_raises(self, same_error):
+        same_error(RuntimeError, lambda x: x**3 - 2, 0.0, 2.0, maxiter=2)
 
     @pytest.mark.parametrize("at_a", [True, False])
-    def test_zero_at_an_end_is_the_root(self, at_a):
+    def test_zero_at_an_end_is_the_root(self, at_a, brentq):
         def never(x):
             raise AssertionError("f evaluated again")
 
