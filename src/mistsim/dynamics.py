@@ -15,11 +15,12 @@ order in the step beside the kink (Blanes, Casas, Oteo & Ros, Phys. Rep.
 470, 151 (2009)); ``GRADED_EDGES`` more edges at dt*2^-j from the kink grade
 the steps there, so the default dt = 0.1 ns is within 2e-6 of a
 dt = 0.0025 ns reference at the grid corners. The graded steps still add
-O(h^1.5) each, so the scheme is not fourth order overall. Populations of
-the instantaneous eigenstates are sampled on grid edges every
-``sample_stride`` steps, with branch identity carried from the bare labels at
-alpha = 0 by maximal eigenvector overlap. ``evolve_piecewise_constant`` is
-the one step kernel. ``_sample_photons`` is the one place a member's sample
+O(h^1.5) each, so the scheme is not fourth order overall. The one step
+kernel, ``evolve_piecewise_constant``, returns the state after every step;
+``_sample_times`` alone picks the samples, grid edges every ``sample_stride``
+steps, where populations of the instantaneous eigenstates are read with
+branch identity carried from the bare labels at alpha = 0 by maximal
+eigenvector overlap. ``_sample_photons`` is the one place a member's sample
 times become photon numbers: the sweep's heatmap axis and the charge
 average's default axis end at its last sample. ``_check_monotone`` is the one
 monotone ring-up rule, which reading survival against nbar(t) needs.
@@ -57,7 +58,7 @@ import numpy as np
 from .field import DriveConfig, _alpha_slope, field_amplitude, level_crossings
 from .output import write_table
 from .strip import StripConfig, bond_amplitudes, tracked_eigenbasis, tridiagonal_stack
-from .transmon import _check_integer
+from .transmon import _check_integer, _finite_float
 
 __all__ = [
     "SimulationConfig",
@@ -91,6 +92,7 @@ class SimulationConfig:
     sample_stride: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "dt", _finite_float("dt", self.dt))
         _check_step(self.dt, self.sample_stride, self.drive.duration)
         _check_state(self.initial_state, self.strip.level_count)
 
@@ -101,10 +103,6 @@ def _check_step(dt: float, sample_stride: int, duration: float) -> None:
     # the step grid ends at round(duration / dt) * dt; it must end with the pulse
     if abs(round(duration / dt) * dt - duration) > EDGE_MERGE_TOL:
         raise ValueError(f"dt = {dt} ns does not divide the duration {duration} ns")
-    _check_stride(sample_stride)
-
-
-def _check_stride(sample_stride: int) -> None:
     _check_integer("sample_stride", sample_stride)
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
@@ -150,30 +148,23 @@ class SurvivalCurve:
         write_table(path, header_lines, ["nbar", "survival"], rows)
 
 
-def evolve_piecewise_constant(
-    hamiltonians: np.ndarray,
-    dt: float,
-    psi0: np.ndarray,
-    sample_stride: int = 1,
-) -> np.ndarray:
-    """Apply exp(-i*2*pi*H_s*dt_s) step by step; return states at sample points.
+def evolve_piecewise_constant(hamiltonians: np.ndarray, dt: float, psi0: np.ndarray) -> np.ndarray:
+    """Apply exp(-i*2*pi*H_s*dt_s) step by step; return the state after every step.
 
     ``hamiltonians`` is a (steps, K, K) Hermitian stack (GHz), one matrix per
     step, already combined as the caller's scheme needs; ``propagate_states``
     passes a real symmetric one. ``dt`` is one step length (ns) or a (steps,)
-    array of them. The returned array holds the state before any step, after
-    every ``sample_stride`` steps, and after the final step.
+    array of them. The returned array holds the state before any step and
+    after each of them; the caller picks its samples (``_sample_times``).
 
-    ``psi0`` is one (K,) state, giving a (samples, K) result, or a (K, m)
-    block of m states in its columns, giving (samples, K, m). The
+    ``psi0`` is one (K,) state, giving a (steps + 1, K) result, or a (K, m)
+    block of m states in its columns, giving (steps + 1, K, m). The
     eigendecomposition is shared, and the states are stepped together as one
     (m, K, 1) stack of columns: each product is then one matrix-vector
     product (gemv) per state, as a one-state run does, so column j is
     bitwise the one-state result for ``psi0[:, j]``. A (K, m) matrix-matrix
     product (gemm) would round differently, by up to 3.5e-15.
     """
-    _check_stride(sample_stride)
-    steps = hamiltonians.shape[0]
     evals, evecs = np.linalg.eigh(hamiltonians)
     evecs_h = evecs.conj().transpose(0, 2, 1)  # a view when the stack is real
     # trailing unit axes broadcast each step's factors over the (m, K, 1) stack
@@ -181,10 +172,9 @@ def evolve_piecewise_constant(
     start = np.asarray(psi0, dtype=complex)
     psi = np.ascontiguousarray(np.atleast_2d(start.T))[..., None]
     out = [psi]
-    for s in range(steps):
-        psi = evecs[s] @ (phases[s] * (evecs_h[s] @ psi))
-        if (s + 1) % sample_stride == 0 or s == steps - 1:
-            out.append(psi)
+    for v, p, vh in zip(evecs, phases, evecs_h):
+        psi = v @ (p * (vh @ psi))
+        out.append(psi)
     states = np.array(out)[..., 0].transpose(0, 2, 1)
     return states[:, :, 0] if start.ndim == 1 else states
 
@@ -317,12 +307,12 @@ def propagate_states(config: SimulationConfig, states) -> list[PopulationTrace]:
     # conjugates the lab reference in test_gauge_optimization_matches_brute_force
     diag = strip_cfg.rotating_diagonal / 2 - np.arange(k_count) * rate[:, None] / (2 * np.pi)
     bonds, sub_h = _cf4_substeps(bond_amplitudes(strip_cfg, nbar_n)), np.repeat(h, 2)
-    # a state after every full step, STEP_CHUNK sub-steps at a time, then
-    # those at the sample times
+    # the state after every full step (every second sub-step), STEP_CHUNK sub-steps
+    # at a time, copied to free the half steps; then those at the sample times
     full = [np.eye(k_count)[None, :, states]]
     for part in (slice(lo, lo + STEP_CHUNK) for lo in range(0, len(sub_h), STEP_CHUNK)):
         stack = tridiagonal_stack(diag[part], bonds[part])
-        full.append(evolve_piecewise_constant(stack, sub_h[part], full[-1][-1], 2)[1:])
+        full.append(evolve_piecewise_constant(stack, sub_h[part], full[-1][-1])[2::2].copy())
     t_s, nbar_s = _sample_photons(drive, config.dt, config.sample_stride)
     block = np.concatenate(full)[np.searchsorted(edges, t_s)]
 

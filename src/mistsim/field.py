@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .output import write_table
-from .transmon import _check_finite
+from .transmon import _check_finite, _finite_float
 
 __all__ = [
     "DriveConfig",
@@ -52,7 +52,7 @@ class DriveConfig:
 
     def __post_init__(self):
         for name in ("epsilon", "omega_d", "omega_r_dressed", "kappa", "duration"):
-            _check_finite(name, getattr(self, name))
+            object.__setattr__(self, name, _finite_float(name, getattr(self, name)))
         if not self.kappa > 0:
             raise ValueError(f"kappa must be positive, got {self.kappa}")
         if not self.duration > 0:

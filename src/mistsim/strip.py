@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .output import write_table
-from .transmon import TransmonEigen, _check_finite, _check_integer, diagonalize
+from .transmon import TransmonEigen, _check_finite, _check_integer, _finite_float, diagonalize
 
 __all__ = [
     "StripConfig",
@@ -46,14 +46,15 @@ TIE_TOL = 1e-6
 LOW_OVERLAP = 0.5
 
 
-def _check_coupling(g: float | None, k_eff: float | None) -> None:
-    """Exactly one of ``g`` and ``k_eff`` sets the coupling; it must be finite and positive."""
+def _check_coupling(g: float | None, k_eff: float | None) -> tuple[str, float]:
+    """Name and plain float of the one of ``g``, ``k_eff`` set; it must be finite and positive."""
     if (g is None) == (k_eff is None):
         raise ValueError("specify exactly one of g, k_eff")
     name, value = ("g", g) if g is not None else ("k_eff", k_eff)
-    _check_finite(name, value)
+    value = _finite_float(name, value)
     if not value > 0:
         raise ValueError(f"g or k_eff must be positive, got {value}")
+    return name, value
 
 
 @dataclass(frozen=True)
@@ -70,10 +71,10 @@ class StripConfig:
     k_eff: float | None = None
 
     def __post_init__(self):
-        _check_finite("omega_r", self.omega_r)
+        object.__setattr__(self, "omega_r", _finite_float("omega_r", self.omega_r))
         if not self.omega_r > 0:
             raise ValueError(f"omega_r must be positive, got {self.omega_r}")
-        _check_coupling(self.g, self.k_eff)
+        object.__setattr__(self, *_check_coupling(self.g, self.k_eff))
         if not self.coupling > 0:
             raise ValueError(f"derived coupling must be positive, got {self.coupling}")
 
@@ -371,6 +372,8 @@ def g_eff_perturbative(config: StripConfig, target_level: int, nbar_cross: float
         raise ValueError(f"target_level must be >= 1, got {m}")
     if m > config.level_count - 1:
         raise ValueError(f"target_level {m} not within the kept levels")
+    # an infinite nbar_cross would print as the non-JSON Infinity
+    _check_finite("nbar_cross", nbar_cross)
     if not nbar_cross >= 0:
         raise ValueError(f"nbar_cross must be >= 0, got {nbar_cross}")
     diag = config.rotating_diagonal

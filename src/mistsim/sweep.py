@@ -56,7 +56,7 @@ from .strip import (
     jtc_strip_hamiltonian,
     tridiagonal_stack,
 )
-from .transmon import TransmonParams, _check_finite, _check_integer, diagonalize, ej_for_frequency
+from .transmon import TransmonParams, _check_integer, _finite_float, diagonalize, ej_for_frequency
 
 __all__ = [
     "SweepConfig",
@@ -73,8 +73,6 @@ DEFAULT_NG_GRID = tuple(round(-0.50 + 0.05 * i, 10) for i in range(11))
 # what a failed run leaves in its out_dir; a new run removes both first
 _FAILURE_FILES = ("failure_manifest.json", "partial_curves.npz")
 
-# the float settings that no part of a member checks
-_FLOAT_SETTINGS = ("omega_r", "delta_grid", "n_g_grid", "dt", "threshold", "nbar_step")
 # every scalar float setting; None stays None
 _SCALAR_FLOATS = (
     "e_c", "k_eff", "g", "omega_r", "omega_d", "omega_r_dressed",
@@ -136,9 +134,14 @@ class SweepConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        # NaN or inf passes some range checks below and fails deep in a sweep
-        for name in _FLOAT_SETTINGS:
-            _check_finite(name, getattr(self, name))
+        # NaN passes range checks and fails deep in a sweep; a numpy float fails
+        # json.dumps in config_hash, and an int hashes apart from its float
+        for name in _SCALAR_FLOATS:
+            value = getattr(self, name)
+            if value is not None:
+                setattr(self, name, _finite_float(name, value))
+        self.delta_grid = [_finite_float("delta_grid", delta) for delta in self.delta_grid]
+        self.n_g_grid = [_finite_float("n_g_grid", n_g) for n_g in self.n_g_grid]
         # before the drive, whose omega_d defaults to omega_r
         if not self.omega_r > 0:
             raise ValueError(f"omega_r must be positive, got {self.omega_r}")
@@ -157,7 +160,6 @@ class SweepConfig:
         if len(set(self.initial_states)) != len(self.initial_states):
             raise ValueError(f"initial_states must not repeat, got {self.initial_states}")
         states = [_check_state(state, self.level_count) for state in self.initial_states]
-        # the drive's own checks name a non-finite duration before round() sees it
         drive = self.drive()
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
@@ -170,17 +172,6 @@ class SweepConfig:
         _check_integer("workers", self.workers)
         if self.workers < 1:
             raise ValueError(f"worker count must be >= 1, got {self.workers}")
-        # plain values: numpy ones would fail json.dumps in config_hash and to_json,
-        # and an int would hash apart from its float
-        for name in _SCALAR_FLOATS:
-            value = getattr(self, name)
-            # a JSON true can pass the range checks above as 1
-            if isinstance(value, bool):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            if value is not None:
-                setattr(self, name, float(value))
-        self.delta_grid = [float(delta) for delta in self.delta_grid]
-        self.n_g_grid = [float(n_g) for n_g in self.n_g_grid]
         self.initial_states = states
         for name in ("level_count", "charge_cutoff", "sample_stride", "workers"):
             setattr(self, name, int(getattr(self, name)))
@@ -359,7 +350,8 @@ def charge_averaged_survival(
     else:
         nbar_axis = np.asarray(nbar_axis, float)
         inside = (nbar_axis >= 0) & (nbar_axis <= nbar_s[-1] + AXIS_SLACK)
-        if not (np.all(np.diff(nbar_axis) > 0) and np.all(inside)):
+        # np.all of an empty axis is True
+        if not (len(nbar_axis) and np.all(np.diff(nbar_axis) > 0) and np.all(inside)):
             raise ValueError(
                 "nbar_axis must ascend strictly from >= 0 to at most the members' "
                 f"last sample, nbar = {nbar_s[-1]}"

@@ -42,6 +42,14 @@ def _check_finite(name: str, value) -> None:
         raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _finite_float(name: str, value) -> float:
+    """``value`` as a plain float, not a numpy one (NEP 50), once it is finite and no bool."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    _check_finite(name, value)
+    return float(value)
+
+
 def _wrap_offset_charge(n_g: float) -> float:
     """Wrap to the canonical window [-0.5, 0.5]; all spectra are 1-periodic."""
     return float(n_g - round(n_g))
@@ -73,7 +81,7 @@ class TransmonParams:
 
     def __post_init__(self):
         for name in ("e_c", "e_j", "n_g"):
-            _check_finite(name, getattr(self, name))
+            object.__setattr__(self, name, _finite_float(name, getattr(self, name)))
         if not self.e_c > 0:
             raise ValueError(f"e_c must be positive, got {self.e_c}")
         if not self.e_j >= 0:

@@ -117,7 +117,7 @@ def test_criterion_5_landau_zener():
         stack[:, 1, 1] = -slope * t_mid / 2
         stack[:, 0, 1] = coupling
         stack[:, 1, 0] = coupling
-        psis = evolve_piecewise_constant(stack, dt, np.array([1.0, 0.0]), steps)
+        psis = evolve_piecewise_constant(stack, dt, np.array([1.0, 0.0]))
         survived = abs(psis[-1][0]) ** 2
         # angular-unit transition formula for the diabatic passage
         predicted = np.exp(

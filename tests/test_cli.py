@@ -300,6 +300,10 @@ class TestErrorHandling:
                 "--target-level and --nbar-cross must be given together",
             ),
             (["calibrate", "--levels", "2"], "anharmonicity needs at least 3 levels, got 2"),
+            (
+                ["calibrate", "--target-level", "3", "--nbar-cross", "inf"],
+                "nbar_cross must be finite, got inf",
+            ),
         ],
         ids=[
             "fan-step-zero",
@@ -323,6 +327,7 @@ class TestErrorHandling:
             "calibrate-nbar-cross-alone",
             "calibrate-target-level-alone",
             "calibrate-two-levels",
+            "calibrate-nbar-cross-inf",
         ],
     )
     def test_bad_number_is_named(self, capsys, tmp_path, argv, detail):

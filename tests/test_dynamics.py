@@ -42,7 +42,7 @@ def make_trace(nbar, survival):
     )
 
 
-def loop_evolve(hamiltonians, dt, psi0, sample_stride=1):
+def loop_evolve(hamiltonians, dt, psi0):
     """The kernel as a per-state list of matrix-vector products: the reference."""
     steps = hamiltonians.shape[0]
     evals, evecs = np.linalg.eigh(hamiltonians)
@@ -54,8 +54,7 @@ def loop_evolve(hamiltonians, dt, psi0, sample_stride=1):
     for s in range(steps):
         v, vh, p = evecs[s], evecs_h[s], phases[s]
         psi = [v @ (p * (vh @ x)) for x in psi]
-        if (s + 1) % sample_stride == 0 or s == steps - 1:
-            out.append(psi)
+        out.append(psi)
     states = np.array(out).transpose(0, 2, 1)
     return states[:, :, 0] if start.ndim == 1 else states
 
@@ -203,8 +202,9 @@ class TestPropagate:
                 axis=1,
             ).reshape(-1, 20, 20)
             t_s = np.arange(0, 1001, 10) * 0.01
-            psis = evolve_piecewise_constant(stack, np.repeat(h, 2), np.eye(20)[0], 2)
-            psis = psis[np.searchsorted(edges, t_s)]
+            # the state after every sub-step; edge j falls after sub-step 2*j
+            psis = evolve_piecewise_constant(stack, np.repeat(h, 2), np.eye(20)[0])
+            psis = psis[2 * np.searchsorted(edges, t_s)]
 
             alpha_s = field_amplitude(drive, t_s)
             h_s = np.array([lab_hamiltonian(a, t) for a, t in zip(alpha_s, t_s)])
@@ -241,6 +241,12 @@ class TestPropagate:
         for dt in (0.125, 0.2):
             with pytest.raises(ValueError, match=r"dt must be in \(0, 0.1\] ns"):
                 SimulationConfig(strip=ref_strip, drive=ref_drive, dt=dt)
+        # a float32 0.05 passed the divide test in float32, then its grid ended
+        # at 100.0000015 ns, past the pulse
+        with pytest.raises(ValueError, match="does not divide"):
+            SimulationConfig(strip=ref_strip, drive=ref_drive, dt=np.float32(0.05))
+        with pytest.raises(ValueError, match="dt must be a number, got True"):
+            SimulationConfig(strip=ref_strip, drive=ref_drive, dt=True)
         with pytest.raises(ValueError):
             SimulationConfig(strip=ref_strip, drive=ref_drive, initial_state=20)
         with pytest.raises(ValueError):
@@ -445,17 +451,17 @@ class TestPiecewiseConstantEvolver:
             (True, "sample_stride must be an integer"),
         ],
     )
-    def test_bad_sample_stride_rejected(self, stride, match):
-        # 0 divided by zero, -1 sampled every step, 2.5 only the two ends
-        stack = np.broadcast_to(np.diag([0.0, 0.5]), (10, 2, 2))
+    def test_bad_sample_stride_rejected(self, ref_strip, ref_drive, stride, match):
+        # the sample rule is the config's: 0 divides by zero, -1 would sample
+        # no step, 2.5 only the two ends
         with pytest.raises(ValueError, match=match):
-            evolve_piecewise_constant(stack, 0.01, np.array([1.0, 0.0]), stride)
+            SimulationConfig(strip=ref_strip, drive=ref_drive, sample_stride=stride)
 
     def test_constant_hamiltonian_phase_exact(self):
         h = np.diag([0.0, 0.5])
         stack = np.broadcast_to(h, (100, 2, 2))
         psi0 = np.array([1.0, 1.0]) / np.sqrt(2)
-        out = evolve_piecewise_constant(stack, 0.01, psi0, sample_stride=100)
+        out = evolve_piecewise_constant(stack, 0.01, psi0)
         expected = psi0 * np.exp(-2j * np.pi * np.array([0.0, 0.5]) * 1.0)
         assert np.allclose(out[-1], expected, atol=1e-12)
 
@@ -465,7 +471,7 @@ class TestPiecewiseConstantEvolver:
         h = np.array([[0.0, g], [g, 0.0]])
         steps = 400
         stack = np.broadcast_to(h, (steps, 2, 2))
-        out = evolve_piecewise_constant(stack, 0.0125, np.array([1.0, 0.0]), 400)
+        out = evolve_piecewise_constant(stack, 0.0125, np.array([1.0, 0.0]))
         t_final = steps * 0.0125
         assert abs(out[-1][1]) ** 2 == pytest.approx(
             np.sin(2 * np.pi * g * t_final) ** 2, abs=1e-10
@@ -481,7 +487,7 @@ class TestPiecewiseConstantEvolver:
         psi0 /= np.linalg.norm(psi0)
         steps, dt = 50, 0.02
         stack = np.broadcast_to(h, (steps, 5, 5))
-        out = evolve_piecewise_constant(stack, dt, psi0, steps)
+        out = evolve_piecewise_constant(stack, dt, psi0)
         expected = expm(-2j * np.pi * h * steps * dt) @ psi0
         assert np.allclose(out[-1], expected, atol=1e-10)
 
@@ -491,10 +497,10 @@ class TestPiecewiseConstantEvolver:
         raw = rng.normal(size=(steps, k, k)) + 1j * rng.normal(size=(steps, k, k))
         stack = (raw + raw.conj().transpose(0, 2, 1)) / 2
         block = rng.normal(size=(k, m)) + 1j * rng.normal(size=(k, m))
-        out = evolve_piecewise_constant(stack, 0.02, block, 7)
-        assert out.shape == (1 + steps // 7 + 1, k, m)  # start, every 7th step, end
+        out = evolve_piecewise_constant(stack, 0.02, block)
+        assert out.shape == (steps + 1, k, m)  # the start and every step
         for j in range(m):
-            single = evolve_piecewise_constant(stack, 0.02, block[:, j], 7)
+            single = evolve_piecewise_constant(stack, 0.02, block[:, j])
             assert np.array_equal(out[:, :, j], single)
 
     def test_per_step_dt_array_equals_scalar(self):
@@ -503,8 +509,8 @@ class TestPiecewiseConstantEvolver:
         raw = rng.normal(size=(steps, k, k)) + 1j * rng.normal(size=(steps, k, k))
         stack = (raw + raw.conj().transpose(0, 2, 1)) / 2
         psi0 = np.eye(k)[:, :2]
-        scalar = evolve_piecewise_constant(stack, 0.03, psi0, 4)
-        per_step = evolve_piecewise_constant(stack, np.full(steps, 0.03), psi0, 4)
+        scalar = evolve_piecewise_constant(stack, 0.03, psi0)
+        per_step = evolve_piecewise_constant(stack, np.full(steps, 0.03), psi0)
         assert np.array_equal(scalar, per_step)
 
 
@@ -624,6 +630,7 @@ class TestChargeAveraging:
             [0.0, 1.0, 1.0],
             [-1.0, 0.0, 1.0],
             [0.0, np.nan],
+            [],  # np.all of an empty axis is True; it gave a 0-point curve
         ],
     )
     def test_axis_it_cannot_honour_rejected(self, ref_sim, axis, monkeypatch):

@@ -290,8 +290,9 @@ class TestHelpers:
                 envelope="gaussian",
             )
         drive = dict(epsilon=0.1, omega_d=4.75, omega_r_dressed=4.75, kappa=0.05, duration=10.0)
+        # epsilon=True built a 1 GHz drive
         for name in ("kappa", "duration", "epsilon", "omega_d", "omega_r_dressed"):
-            for value in (np.nan, np.inf):
+            for value in (np.nan, np.inf, True):
                 with pytest.raises(ValueError, match=name):
                     DriveConfig(**{**drive, name: value})
 
@@ -327,3 +328,22 @@ class TestHelpers:
         ):
             with pytest.raises(ValueError, match="finite"):
                 DriveConfig(**drive, envelope=tuple(np.array(x) for x in envelope))
+
+    def test_numpy_float_settings_become_plain_floats(self):
+        drive = DriveConfig(
+            epsilon=np.float32(EPSILON),
+            omega_d=np.float32(OMEGA_R),
+            omega_r_dressed=np.float64(OMEGA_R),
+            kappa=np.float32(KAPPA),
+            duration=np.int64(20),
+        )
+        for name in ("epsilon", "omega_d", "omega_r_dressed", "kappa", "duration"):
+            assert type(getattr(drive, name)) is float, name
+
+    def test_float32_epsilon_field_is_its_float_field(self):
+        # a float32 epsilon computed part of the field in float32 (NEP 50):
+        # nbar was off by 1.5e-5 photons against the same epsilon in float64
+        times = np.linspace(0.0, 100.0, 1001)
+        single = resonant_drive(epsilon=np.float32(0.045))
+        plain = resonant_drive(epsilon=float(np.float32(0.045)))
+        assert np.array_equal(field_amplitude(single, times), field_amplitude(plain, times))

@@ -426,6 +426,12 @@ class TestPerturbativeCoupling:
             g_eff_perturbative(ref_strip, 3, -5.0)
         assert g_eff_perturbative(ref_strip, 3, 0.0) == 0.0
 
+    @pytest.mark.parametrize("nbar_cross", [np.inf, np.nan])
+    def test_non_finite_photon_number_rejected(self, ref_strip, nbar_cross):
+        # an infinite nbar_cross gave g_eff = inf, which printed as the non-JSON Infinity
+        with pytest.raises(ValueError, match=f"nbar_cross must be finite, got {nbar_cross}"):
+            g_eff_perturbative(ref_strip, 3, nbar_cross)
+
     def test_target_level_bounds(self, ref_strip):
         with pytest.raises(ValueError):
             g_eff_perturbative(ref_strip, 0, 10.0)
@@ -536,6 +542,29 @@ class TestStripConfig:
         # nan <= 0 is False, so a NaN coupling used to pass the positivity check
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             StripConfig(eigen=ref_eigen, **settings)
+
+    @pytest.mark.parametrize(
+        "settings, name",
+        [
+            (dict(omega_r=True, k_eff=K_EFF), "omega_r"),
+            (dict(omega_r=OMEGA_R, g=True), "g"),
+            (dict(omega_r=OMEGA_R, k_eff=True), "k_eff"),
+        ],
+        ids=["omega_r", "g", "k_eff"],
+    )
+    def test_bool_setting_rejected(self, ref_eigen, settings, name):
+        # k_eff=True gave g = 2.64 GHz
+        with pytest.raises(ValueError, match=f"{name} must be a number, got True"):
+            StripConfig(eigen=ref_eigen, **settings)
+
+    @pytest.mark.parametrize("coupling", ["g", "k_eff"])
+    def test_numpy_float_settings_become_plain_floats(self, ref_eigen, coupling):
+        # a float32 omega_r made the coupling an np.float32
+        settings = {"omega_r": np.float32(OMEGA_R), coupling: np.float32(0.05)}
+        cfg = StripConfig(eigen=ref_eigen, **settings)
+        assert type(cfg.omega_r) is float and type(getattr(cfg, coupling)) is float
+        assert cfg.omega_r == float(np.float32(OMEGA_R))
+        assert isinstance(cfg.coupling, float)
 
     @pytest.mark.parametrize("omega_r", [0.0, -1.0])
     @pytest.mark.parametrize("coupling", [dict(k_eff=K_EFF), dict(g=0.1)])

@@ -355,6 +355,10 @@ class TestSweepConfig:
             ({"n_g_grid": [0.0, 0.0]}, "n_g_grid must not repeat"),
             ({"epsilon": True}, "epsilon must be a number, got True"),
             ({"k_eff": True}, "k_eff must be a number, got True"),
+            # a true in a grid used to pass as 1.0
+            ({"delta_grid": [1.0, True]}, "delta_grid must be a number, got True"),
+            ({"n_g_grid": [True, 0.2]}, "n_g_grid must be a number, got True"),
+            ({"n_g_grid": [0.0, np.inf]}, "n_g_grid must be finite, got inf"),
         ],
     )
     def test_rejected_when_built(self, overrides, match, tmp_path):

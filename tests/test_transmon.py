@@ -76,6 +76,18 @@ class TestChargeHamiltonian:
         with pytest.raises(ValueError, match=f"n_g must be finite, got {n_g}"):
             TransmonParams(e_c=0.2, e_j=8.0, n_g=n_g)
 
+    @pytest.mark.parametrize("name", ["e_c", "e_j", "n_g"])
+    def test_bool_setting_rejected(self, name):
+        # e_c=True built the E_C = 1 GHz transmon
+        with pytest.raises(ValueError, match=f"{name} must be a number, got True"):
+            TransmonParams(**{"e_c": 0.2, "e_j": 8.0, name: True})
+
+    def test_numpy_float_settings_become_plain_floats(self):
+        p = TransmonParams(e_c=np.float32(0.2), e_j=np.float32(8.0), n_g=np.float32(0.3))
+        for name in ("e_c", "e_j", "n_g"):
+            assert type(getattr(p, name)) is float, name
+        assert p.e_c == float(np.float32(0.2))
+
 
 class TestDiagonalize:
     def test_reference_qubit_frequency(self, ref_ej):
