@@ -74,7 +74,11 @@ def stark_to_photons(freq_shift: float, chi_value: float) -> float:
             "negative shift: qubit above its zero-photon frequency contradicts "
             "the linear model"
         )
-    return freq_shift / (2.0 * chi_value)
+    with np.errstate(over="ignore"):
+        photons = freq_shift / (2.0 * chi_value)
+    if not np.isfinite(photons):
+        raise ValueError(f"freq_shift = {freq_shift} is too large: the photon number overflows")
+    return photons
 
 
 def n_crit(delta: float, g: float) -> float:

@@ -9,12 +9,12 @@ spectral decomposition, so unitarity is exact up to rounding. The bonds
 Re(sqrt(nbar - k)) have a square-root kink wherever nbar(t) = k; the step
 edges are the grid j*dt plus every such kink time, which
 ``field.level_crossings`` bisects on the exact field solver ``field_amplitude``,
-so both nodes of a step lie on the same side of every kink. On the side
-where nbar > k the bond grows like sqrt(|t - t_k|), which costs CF4 its
-order in the step beside the kink (Blanes, Casas, Oteo & Ros, Phys. Rep.
-470, 151 (2009)); ``GRADED_EDGES`` more edges at dt*2^-j from the kink grade
-the steps there, so the default dt = 0.1 ns is within 2e-6 of a
-dt = 0.0025 ns reference at the grid corners. The graded steps still add
+so both nodes of a step lie on the same side of every kink. The bisection also
+tells the side where nbar > k; there the bond grows like sqrt(|t - t_k|),
+which costs CF4 its order in the step beside the kink (Blanes, Casas, Oteo &
+Ros, Phys. Rep. 470, 151 (2009)); ``GRADED_EDGES`` more edges at dt*2^-j from
+the kink grade the steps there, so the default dt = 0.1 ns is within 2e-6 of
+a dt = 0.0025 ns reference at the grid corners. The graded steps still add
 O(h^1.5) each, so the scheme is not fourth order overall. The one step
 kernel, ``evolve_piecewise_constant``, returns the state after every step;
 ``_sample_times`` alone picks the samples, grid edges every ``sample_stride``
@@ -208,19 +208,17 @@ def _step_edges(drive: DriveConfig, dt: float, levels) -> np.ndarray:
     """Ascending step edges of the pulse: the grid j*dt, every kink, and its graded edges.
 
     A kink is a time t_k where nbar(t) crosses one of ``levels``, k; there the
-    bond Re(sqrt(nbar - k)) grows like sqrt(|t - t_k|) on its nbar > k side.
-    On that side, after a rising crossing and before a falling one, the
-    graded edges t_k +/- dt*2^-j, j = 1..GRADED_EDGES, shrink the steps
-    geometrically toward the kink; those past the grid's ends are dropped.
+    bond Re(sqrt(nbar - k)) grows like sqrt(|t - t_k|) on its nbar > k side,
+    after a rising crossing and before a falling one (``level_crossings``
+    reports which). There the graded edges t_k +/- dt*2^-j, j = 1..GRADED_EDGES,
+    shrink the steps toward the kink; those past the grid's ends are dropped.
     Grid points (where samples are taken) always stay edges: a kink within
-    EDGE_MERGE_TOL of one is dropped, as is a graded edge that close to a
-    grid point or kink (``_merge_edges``).
+    EDGE_MERGE_TOL of one is dropped, as is a graded edge that close to a grid
+    point or kink (``_merge_edges``).
     """
     grid = _sample_times(drive.duration, dt, 1)
-    kinks = level_crossings(drive, grid, levels)
-    alpha = field_amplitude(drive, kinks)
-    # d(nbar)/dt = 2*Re(alpha' conj(alpha)); nbar > k after a rising kink
-    side = np.where((_alpha_slope(drive, kinks, alpha) * np.conj(alpha)).real > 0, 1.0, -1.0)
+    kinks, rising = level_crossings(drive, grid, levels)
+    side = np.where(rising, 1.0, -1.0)
     graded = np.sort((kinks + side * dt * 0.5 ** np.arange(1, GRADED_EDGES + 1)[:, None]).ravel())
     graded = graded[(graded > 0) & (graded < grid[-1])]
     return _merge_edges(_merge_edges(grid, kinks), graded)

@@ -10,6 +10,8 @@ alpha = 0. Every envelope is piecewise linear in t (a square pulse is one
 piece), so alpha has a closed form on each piece and ``field_amplitude`` is
 exact for every envelope. ``evolve_field_closed_form`` is the textbook
 square-pulse formula, the reference the pieces are checked against.
+``level_crossings`` bisects |alpha|^2 = k on ``field_amplitude`` and reports
+each crossing's direction, the one source of the propagation's kink sides.
 """
 
 from __future__ import annotations
@@ -179,14 +181,14 @@ def evolve_field_numeric(drive: DriveConfig, t_grid: np.ndarray | None = None) -
     return FieldTrajectory.from_alpha(t_grid, field_amplitude(drive, t_grid))
 
 
-def level_crossings(drive: DriveConfig, times: np.ndarray, levels) -> np.ndarray:
-    """Every time where |alpha|^2 crosses one of ``levels``, ascending.
+def level_crossings(drive: DriveConfig, times, levels) -> tuple[np.ndarray, np.ndarray]:
+    """Every time where |alpha|^2 crosses one of ``levels``, and whether it rises there.
 
-    Each crossing is bracketed by a sign change of |alpha|^2 - k between
-    neighbouring points of the ascending grid ``times``, then bisected on
-    ``field_amplitude`` itself, 60 halvings of the grid interval. A level
-    touched twice within one grid interval shows no sign change and is not
-    reported.
+    Returns (times, rising), ascending in time. Each crossing is bracketed by a
+    sign change of |alpha|^2 - k between neighbouring points of the ascending
+    grid ``times``, then bisected on ``field_amplitude`` itself, 60 halvings of
+    the grid interval; the bracket's far side gives ``rising``. A level touched
+    twice within one grid interval shows no sign change and is not reported.
     """
     times = np.asarray(times, float)
     levels = np.asarray(levels, float)
@@ -200,4 +202,6 @@ def level_crossings(drive: DriveConfig, times: np.ndarray, levels) -> np.ndarray
         past = (np.abs(field_amplitude(drive, times[i] + h * s)) ** 2 > level) == rising
         hi = np.where(past, s, hi)
         lo = np.where(past, lo, s)
-    return np.sort(times[i] + h * (lo + hi) / 2)
+    crossings = times[i] + h * (lo + hi) / 2
+    order = np.argsort(crossings)
+    return crossings[order], rising[order]

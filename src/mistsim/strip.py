@@ -386,4 +386,8 @@ def g_eff_perturbative(config: StripConfig, target_level: int, nbar_cross: float
             "perturbative estimate diverges"
         )
     numerator = np.prod(config.eigen.couplings[:m] * config.coupling)
-    return float(abs(numerator / np.prod(detunings)) * nbar_cross ** (m / 2.0))
+    with np.errstate(over="ignore"):  # numpy's power gives inf; Python's raises
+        g_eff = abs(numerator / np.prod(detunings)) * np.float64(nbar_cross) ** (m / 2.0)
+    if not np.isfinite(g_eff):
+        raise ValueError(f"nbar_cross = {nbar_cross} is too large: g_eff overflows")
+    return float(g_eff)

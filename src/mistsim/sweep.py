@@ -1,18 +1,17 @@
 """Detuning x offset-charge x initial-state sweeps with parallel workers.
 
 This module owns the offset-charge grid and the average over it.
-``SweepConfig.simulation`` is the one place a sweep config becomes a
-propagation job, and ``_point_survival`` the one point computation: it
-moves a detuning's base member to one n_g with ``StripConfig.at_charge``,
-the one re-diagonalization at an offset charge, and propagates all initial
-states through the point's shared Hamiltonian stack, returning a curve per
-(delta, n_g, state) member. ``run_sweep`` maps it over every (delta, n_g)
-point, n_g fastest; ``charge_averaged_survival`` loops it over one member's
-charges, and both average over charge with ``_charge_average``, the one home
-of the charge weights. Workers are stateless and results are collected in
-point order, so the output is identical for any worker count. Wall-clock
-metadata is kept out of the result files to preserve that. A member's
-sample photon numbers come from ``dynamics._sample_photons`` alone, so the
+``SweepConfig.simulation``, which ``mistsim trace`` also calls, is the one
+place a sweep config becomes a propagation job. ``run_sweep`` builds every
+(delta, n_g) member with it before the pool starts, E_J solved once per
+detuning by the memo of ``transmon.ej_for_frequency``; workers run
+``_point_survival``, the one point computation, which only propagates all
+initial states through the point's shared stack. ``charge_averaged_survival``
+moves its member to each charge with ``StripConfig.at_charge`` and calls the
+same function. Both average with ``_charge_average``, the one home of the
+charge weights, over results kept in point order, so the output is identical
+for any worker count; wall-clock metadata stays out of the result files.
+Sample photon numbers come from ``dynamics._sample_photons`` alone, so the
 heatmap axis ends at the members' last sample by construction.
 
 ``run_oracle_check`` checks the propagation's own stack builder
@@ -68,6 +67,7 @@ __all__ = [
     "charge_averaged_survival",
 ]
 
+DEFAULT_DELTA_GRID = tuple(round(0.6 + 0.02 * i, 10) for i in range(51))
 DEFAULT_NG_GRID = tuple(round(-0.50 + 0.05 * i, 10) for i in range(11))
 
 # what a failed run leaves in its out_dir; a new run removes both first
@@ -100,10 +100,6 @@ def _check_charges(n_g_grid, name: str = "n_g_grid") -> None:
         raise ValueError(f"{name} must not repeat modulo 1, got {n_g_grid}")
 
 
-def _default_delta_grid() -> list[float]:
-    return [round(0.6 + 0.02 * i, 10) for i in range(51)]
-
-
 @dataclass
 class SweepConfig:
     """Full sweep description; defaults reproduce the reference device values.
@@ -121,7 +117,7 @@ class SweepConfig:
     kappa: float = 1.0 / 22.0
     epsilon: float = 0.045
     duration: float = 100.0
-    delta_grid: list[float] = field(default_factory=_default_delta_grid)
+    delta_grid: list[float] = field(default_factory=lambda: list(DEFAULT_DELTA_GRID))
     n_g_grid: list[float] = field(default_factory=lambda: list(DEFAULT_NG_GRID))
     initial_states: list[int] = field(default_factory=lambda: [0, 1])
     level_count: int = TransmonParams.level_count
@@ -317,13 +313,9 @@ def _charge_average(curves: np.ndarray) -> np.ndarray:
 
 
 def _point_survival(task) -> list[np.ndarray]:
-    """Survival curves of one (delta, n_g) point, one per state in ``task[2]``.
-
-    ``task`` is (base, n_g, states, nbar_axis); ``base`` is re-diagonalized at n_g.
-    """
-    base, n_g, states, nbar_axis = task
-    sim = replace(base, strip=base.strip.at_charge(n_g))
-    curves = map(survival_vs_nbar, propagate_states(sim, states))
+    """Curves of a built point, one per state: ``task`` is (member, states, nbar_axis)."""
+    member, states, nbar_axis = task
+    curves = map(survival_vs_nbar, propagate_states(member, states))
     return [np.interp(nbar_axis, c.nbar_axis, c.survival_running_min) for c in curves]
 
 
@@ -359,8 +351,8 @@ def charge_averaged_survival(
     members = []
     for n_g in n_g_grid:
         try:
-            task = (base, float(n_g), [base.initial_state], nbar_axis)
-            members.append(_point_survival(task)[0])
+            member = replace(base, strip=base.strip.at_charge(n_g))
+            members.append(_point_survival((member, [base.initial_state], nbar_axis))[0])
         except Exception as exc:
             raise RuntimeError(f"member simulation failed at n_g={n_g}") from exc
     return SurvivalCurve(
@@ -376,7 +368,8 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     fails here as it would in the constructor. Raises on the first failing
     point simulation, naming its (delta, n_g) coordinates and the states it
     carried; with ``out_dir`` set it writes the failure files there, and
-    removes those of an earlier run when it starts. Results do not depend on
+    removes those of an earlier run when it starts. Members are built before
+    the pool starts; a failed build names no point. Results do not depend on
     worker count.
     """
     t_start = time.monotonic()
@@ -388,8 +381,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     nbar_axis = config.nbar_axis()
     states = list(config.initial_states)
     points = [(delta, n_g) for delta in config.delta_grid for n_g in config.n_g_grid]
-    bases = {delta: config.simulation(delta, config.n_g_grid[0]) for delta in config.delta_grid}
-    tasks = [(bases[delta], n_g, states, nbar_axis) for delta, n_g in points]
+    tasks = [(config.simulation(delta, n_g), states, nbar_axis) for delta, n_g in points]
 
     # one row of curves per point, in point order
     members = np.empty((len(points), len(states), len(nbar_axis)))
@@ -515,12 +507,9 @@ def run_oracle_check(
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     # no charge would mean no comparison, and "passed" would claim one
     _check_charges(n_g_values, "n_g_values")
-    # E_J is solved once, at the first charge; the others re-diagonalize
-    base = strip_for_detuning(config, delta, n_g_values[0])
-    strips = [base] + [base.at_charge(n_g) for n_g in n_g_values[1:]]
     per_ng = {
-        str(n_g): float(spectral_differences(strip_cfg, n_max).max())
-        for n_g, strip_cfg in zip(n_g_values, strips)
+        str(n_g): float(spectral_differences(strip_for_detuning(config, delta, n_g), n_max).max())
+        for n_g in n_g_values
     }
     worst = max(per_ng.values())
     return {

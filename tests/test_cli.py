@@ -304,6 +304,15 @@ class TestErrorHandling:
                 ["calibrate", "--target-level", "3", "--nbar-cross", "inf"],
                 "nbar_cross must be finite, got inf",
             ),
+            # a bare OverflowError, and a non-JSON Infinity on stdout with exit 0
+            (
+                ["calibrate", "--target-level", "9", "--nbar-cross", "1e70"],
+                "nbar_cross = 1e+70 is too large: g_eff overflows",
+            ),
+            (
+                ["calibrate", "--stark-shift", "1e308"],
+                "freq_shift = 1e+308 is too large: the photon number overflows",
+            ),
         ],
         ids=[
             "fan-step-zero",
@@ -328,14 +337,16 @@ class TestErrorHandling:
             "calibrate-target-level-alone",
             "calibrate-two-levels",
             "calibrate-nbar-cross-inf",
+            "calibrate-nbar-cross-overflow",
+            "calibrate-stark-overflow",
         ],
     )
     def test_bad_number_is_named(self, capsys, tmp_path, argv, detail):
         # a --delta in argv comes later, so it overrides the default 1.1
         command, *rest = argv
         out = tmp_path / "o"
-        code, _, err = run_cli(capsys, command, "--delta", "1.1", *rest, "--out", str(out))
-        assert code == 1
+        code, stdout, err = run_cli(capsys, command, "--delta", "1.1", *rest, "--out", str(out))
+        assert code == 1 and stdout == ""
         record = json.loads(err)
         assert record == {"error": "ValueError", "detail": detail}
         assert not out.exists()

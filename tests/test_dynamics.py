@@ -352,9 +352,9 @@ class TestLevelCrossings:
         grid = np.arange(8001) * 0.05
         n_ss = drive.steady_state_nbar
         levels = np.arange(1, int(np.ceil(n_ss)))
-        kinks = level_crossings(drive, grid, levels)
+        kinks, rising = level_crossings(drive, grid, levels)
         expected = -(2 / drive.kappa) * np.log(1 - np.sqrt(levels / n_ss))
-        assert len(kinks) == len(levels)
+        assert len(kinks) == len(levels) and np.all(rising)
         assert np.max(np.abs(kinks - expected)) < 1e-9
 
     @pytest.mark.parametrize(
@@ -377,7 +377,7 @@ class TestLevelCrossings:
         }[kind]
         grid = np.arange(2001) * 0.05
         levels = np.arange(1, 19)
-        kinks = level_crossings(drive, grid, levels)
+        kinks, _ = level_crossings(drive, grid, levels)
         # every crossing, rising or falling, that a 1 ps grid sees
         fine = np.abs(field_amplitude(drive, np.arange(100001) * 0.001))[:, None] ** 2 > levels
         assert len(kinks) == np.count_nonzero(fine[1:] != fine[:-1])
@@ -386,12 +386,29 @@ class TestLevelCrossings:
         nbar = np.abs(field_amplitude(drive, edges[np.isin(edges, kinks)])) ** 2
         assert np.max(np.abs(nbar - np.round(nbar))) < 1e-12
 
+    @pytest.mark.parametrize("kind", ["field_detuned", "switch_off"])
+    def test_rising_is_false_exactly_at_falling_crossings(self, ref_drive, kind):
+        drive = {
+            "field_detuned": replace(ref_drive, omega_r_dressed=OMEGA_R + 0.013),
+            "switch_off": replace(
+                ref_drive,
+                envelope=(np.array([0.0, 50.01, 50.04]), EPSILON * np.array([1, 1, 0])),
+            ),
+        }[kind]
+        kinks, rising = level_crossings(drive, np.arange(2001) * 0.05, np.arange(1, 19))
+        assert np.all(np.diff(kinks) > 0)
+        falling = np.abs(field_amplitude(drive, kinks + 1e-6)) ** 2 < np.abs(
+            field_amplitude(drive, kinks - 1e-6)
+        ) ** 2
+        assert 0 < np.count_nonzero(falling) < len(kinks)
+        assert np.array_equal(rising, ~falling)
+
     def test_detuned_drive_rise_and_fall(self, ref_strip):
         drive = RISE_AND_FALL
         sim = SimulationConfig(strip=ref_strip, drive=drive)
         grid = _sample_times(drive.duration, sim.dt, 1)
         levels = np.arange(1, 19)
-        kinks = level_crossings(drive, grid, levels)
+        kinks, _ = level_crossings(drive, grid, levels)
         fine = np.arange(100001) * 0.001
         nbar = np.abs(field_amplitude(drive, fine)) ** 2
         for k in levels:
@@ -406,7 +423,7 @@ class TestLevelCrossings:
     def test_graded_edges_on_the_side_above_the_level(self):
         drive = RISE_AND_FALL
         dt, levels = SimulationConfig.dt, np.arange(1, 19)
-        kinks = level_crossings(drive, _sample_times(drive.duration, dt, 1), levels)
+        kinks, _ = level_crossings(drive, _sample_times(drive.duration, dt, 1), levels)
         edges = _step_edges(drive, dt, levels)
         offsets = dt * 0.5 ** np.arange(1, 7)  # six graded edges, dt/2 to dt/64
         rising = np.abs(field_amplitude(drive, kinks + 1e-6)) ** 2 > np.abs(
@@ -436,7 +453,7 @@ class TestLevelCrossings:
         dt = SimulationConfig.dt
         edges = _step_edges(drive, dt, np.arange(1, 19))
         grid = _sample_times(drive.duration, dt, 1)
-        t_k = level_crossings(drive, grid, [3])[0]
+        t_k = level_crossings(drive, grid, [3])[0][0]
         assert edges[-1] == grid[-1] and np.count_nonzero(edges > t_k) == 3
         assert np.allclose(edges[edges > t_k][:2] - t_k, [dt / 64, dt / 32], rtol=0, atol=1e-12)
 

@@ -46,7 +46,7 @@ def compute() -> dict[str, np.ndarray]:
     levels = np.arange(1, sim.strip.level_count - 1)
     for name, drive in drives.items():
         data[f"{name}_survival"] = propagate(replace(sim, drive=drive)).survival
-        data[f"{name}_kinks"] = level_crossings(drive, grid, levels)
+        data[f"{name}_kinks"] = level_crossings(drive, grid, levels)[0]
     return data
 
 

@@ -483,10 +483,10 @@ class TestBranchMatching:
         assert not low and not ambiguous
 
     def test_low_overlap_flagged(self):
-        from scipy.linalg import hadamard
-
+        sylvester = np.array([[1.0, 1.0], [1.0, -1.0]])
         prev = np.eye(8)
-        cur = hadamard(8) / np.sqrt(8)  # every overlap is 1/sqrt(8) < 0.5
+        # an 8 x 8 Hadamard matrix: every overlap is 1/sqrt(8) < 0.5
+        cur = np.kron(np.kron(sylvester, sylvester), sylvester) / np.sqrt(8)
         _, low, _ = match_branches(prev, cur)
         assert low
 

@@ -6,7 +6,9 @@ import os
 import numpy as np
 import pytest
 
+import mistsim.strip as strip_mod
 import mistsim.sweep as sweep_mod
+import mistsim.transmon as transmon_mod
 from mistsim.dynamics import _sample_photons
 from mistsim.strip import StripConfig, jtc_strip_hamiltonian
 from mistsim.sweep import (
@@ -18,7 +20,7 @@ from mistsim.sweep import (
     spectral_differences,
     strip_for_detuning,
 )
-from mistsim.transmon import TransmonEigen, TransmonParams, ej_for_frequency
+from mistsim.transmon import TransmonEigen, TransmonParams, _solve_ej, ej_for_frequency
 
 
 def small_config(**overrides):
@@ -98,7 +100,7 @@ class TestRunSweep:
         original = sweep_mod._point_survival
 
         def failing(task):
-            if task[1] == -0.25:  # n_g of the injected failure
+            if task[0].strip.eigen.provenance.n_g == -0.25:  # n_g of the injected failure
                 raise np.linalg.LinAlgError("injected")
             return original(task)
 
@@ -110,7 +112,7 @@ class TestRunSweep:
         original = sweep_mod._point_survival
 
         def failing(task):
-            if task[1] == 0.0:  # last n_g in the grid fails
+            if task[0].strip.eigen.provenance.n_g == 0.0:  # last n_g in the grid fails
                 raise np.linalg.LinAlgError("injected")
             return original(task)
 
@@ -142,7 +144,7 @@ class TestRunSweep:
         original = sweep_mod._point_survival
 
         def failing(task):
-            if task[1] == -0.25:
+            if task[0].strip.eigen.provenance.n_g == -0.25:
                 raise np.linalg.LinAlgError("injected")
             return original(task)
 
@@ -195,6 +197,45 @@ class TestRunSweep:
         assert sizes == [1]  # one point: no idle worker processes
         info = json.loads((out / "run_info.json").read_text())
         assert (info["workers"], info["tasks"], info["members"]) == (3, 1, 2)
+
+    def test_solves_ej_once_per_detuning(self):
+        # the members are built in the parent, through the E_J memo
+        _solve_ej.cache_clear()
+        run_sweep(small_config(duration=20.0))
+        assert _solve_ej.cache_info().misses == 2
+
+    def test_workers_only_propagate(self, monkeypatch):
+        # a point computation that re-diagonalized or re-solved E_J would fail here
+        reference = run_sweep(small_config(duration=20.0))
+        original = sweep_mod._point_survival
+        inside = []
+
+        def guarded(fn):
+            def call(*args, **kwargs):
+                if inside:
+                    raise AssertionError(f"{fn.__name__} called inside _point_survival")
+                return fn(*args, **kwargs)
+
+            return call
+
+        def tracked(task):
+            inside.append(task)
+            try:
+                return original(task)
+            finally:
+                inside.pop()
+
+        for module, name in (
+            (sweep_mod, "diagonalize"),
+            (sweep_mod, "ej_for_frequency"),
+            (strip_mod, "diagonalize"),
+            (transmon_mod, "diagonalize"),
+            (transmon_mod, "ej_for_frequency"),
+        ):
+            monkeypatch.setattr(module, name, guarded(getattr(module, name)))
+        monkeypatch.setattr(sweep_mod, "_point_survival", tracked)
+        result = run_sweep(small_config(duration=20.0, workers=1))
+        assert np.array_equal(result.heatmaps[0], reference.heatmaps[0])
 
     def test_rows_equal_charge_averaged_survival(self):
         # the sweep and charge_averaged_survival share one point computation,
@@ -419,18 +460,12 @@ class TestOracleCheck:
         with pytest.raises(ValueError, match="n_max must be an integer"):
             run_oracle_check(SweepConfig(), n_max=n_max, n_g_values=(0.0,))
 
-    def test_solves_ej_once(self, monkeypatch):
-        # the other charges re-diagonalize the first charge's transmon
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return ej_for_frequency(*args, **kwargs)
-
-        monkeypatch.setattr(sweep_mod, "ej_for_frequency", counted)
+    def test_solves_ej_once(self):
+        # every charge is built from the start; the memo solves the root once
+        _solve_ej.cache_clear()
         report = run_oracle_check(SweepConfig(), n_max=5)
         assert len(report["max_difference_per_ng"]) == 4
-        assert len(calls) == 1
+        assert _solve_ej.cache_info().misses == 1
 
     def test_two_level_toy_system(self):
         cfg = SweepConfig(level_count=2)
