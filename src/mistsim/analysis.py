@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dynamics import SurvivalCurve
-from .transmon import _check_finite
+from .transmon import _check_finite, _store_fields
 
 __all__ = [
     "DispersiveParams",
@@ -28,10 +28,16 @@ __all__ = [
     "boundary_to_dict",
 ]
 
+OMEGA_Q_TOL = 1e-9  # GHz; omega_r + delta computed in floats is within an ulp of omega_q
+
 
 @dataclass(frozen=True)
 class DispersiveParams:
-    """Inputs of the dispersive model (all GHz)."""
+    """Inputs of the dispersive model (all GHz).
+
+    ``omega_q`` must be ``omega_r + delta`` to within ``OMEGA_Q_TOL``: the
+    formulas use all three, and mixed values would give a mixed ``chi``.
+    """
 
     g: float
     delta: float
@@ -40,8 +46,14 @@ class DispersiveParams:
     omega_q: float
 
     def __post_init__(self):
+        _store_fields(self)
         if self.delta <= 0:
             raise ValueError("this model assumes omega_q > omega_r (delta > 0)")
+        if abs(self.omega_q - self.omega_r - self.delta) > OMEGA_Q_TOL:
+            raise ValueError(
+                f"omega_q = {self.omega_q} GHz is not omega_r + delta = "
+                f"{self.omega_r} + {self.delta} GHz"
+            )
 
 
 def chi(p: DispersiveParams) -> float:

@@ -58,7 +58,7 @@ import numpy as np
 from .field import DriveConfig, _alpha_slope, field_amplitude, level_crossings
 from .output import write_table
 from .strip import StripConfig, bond_amplitudes, tracked_eigenbasis, tridiagonal_stack
-from .transmon import _check_integer, _finite_float
+from .transmon import _check_integer, _store_fields
 
 __all__ = [
     "SimulationConfig",
@@ -92,7 +92,7 @@ class SimulationConfig:
     sample_stride: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "dt", _finite_float("dt", self.dt))
+        _store_fields(self)
         _check_step(self.dt, self.sample_stride, self.drive.duration)
         _check_state(self.initial_state, self.strip.level_count)
 
@@ -103,15 +103,13 @@ def _check_step(dt: float, sample_stride: int, duration: float) -> None:
     # the step grid ends at round(duration / dt) * dt; it must end with the pulse
     if abs(round(duration / dt) * dt - duration) > EDGE_MERGE_TOL:
         raise ValueError(f"dt = {dt} ns does not divide the duration {duration} ns")
-    _check_integer("sample_stride", sample_stride)
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
 
 
 def _check_state(state: int, level_count: int) -> int:
     """``state`` as an int, once it is checked to be an integer level index."""
-    _check_integer("initial_state", state)
-    if not 0 <= state < level_count:
+    if not 0 <= _check_integer("initial_state", state) < level_count:
         raise ValueError(
             f"initial_state {state} outside the {level_count} tracked levels"
         )

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .output import write_table
-from .transmon import _check_finite, _finite_float
+from .transmon import _check_finite, _store_fields
 
 __all__ = [
     "DriveConfig",
@@ -53,8 +53,7 @@ class DriveConfig:
     envelope: str | tuple[np.ndarray, np.ndarray] = "square"
 
     def __post_init__(self):
-        for name in ("epsilon", "omega_d", "omega_r_dressed", "kappa", "duration"):
-            object.__setattr__(self, name, _finite_float(name, getattr(self, name)))
+        _store_fields(self)
         if not self.kappa > 0:
             raise ValueError(f"kappa must be positive, got {self.kappa}")
         if not self.duration > 0:

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .output import write_table
-from .transmon import TransmonEigen, _check_finite, _check_integer, _finite_float, diagonalize
+from .transmon import TransmonEigen, _check_finite, _check_integer, _store_fields, diagonalize
 
 __all__ = [
     "StripConfig",
@@ -46,15 +46,13 @@ TIE_TOL = 1e-6
 LOW_OVERLAP = 0.5
 
 
-def _check_coupling(g: float | None, k_eff: float | None) -> tuple[str, float]:
-    """Name and plain float of the one of ``g``, ``k_eff`` set; it must be finite and positive."""
+def _check_coupling(g: float | None, k_eff: float | None) -> None:
+    """Exactly one of ``g``, ``k_eff`` must be set, and it must be positive."""
     if (g is None) == (k_eff is None):
         raise ValueError("specify exactly one of g, k_eff")
-    name, value = ("g", g) if g is not None else ("k_eff", k_eff)
-    value = _finite_float(name, value)
+    value = g if g is not None else k_eff
     if not value > 0:
         raise ValueError(f"g or k_eff must be positive, got {value}")
-    return name, value
 
 
 @dataclass(frozen=True)
@@ -71,10 +69,10 @@ class StripConfig:
     k_eff: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "omega_r", _finite_float("omega_r", self.omega_r))
+        _store_fields(self)
         if not self.omega_r > 0:
             raise ValueError(f"omega_r must be positive, got {self.omega_r}")
-        object.__setattr__(self, *_check_coupling(self.g, self.k_eff))
+        _check_coupling(self.g, self.k_eff)
         if not self.coupling > 0:
             raise ValueError(f"derived coupling must be positive, got {self.coupling}")
 
@@ -181,8 +179,7 @@ def jtc_strip_hamiltonian(config: StripConfig, n_total: int) -> np.ndarray:
     (``tridiagonal_stack`` of ``bond_amplitudes``), up to the decoupled bare
     levels k > N.
     """
-    _check_integer("n_total", n_total)
-    if n_total < 0:
+    if _check_integer("n_total", n_total) < 0:
         raise ValueError(f"n_total must be >= 0, got {n_total}")
     dim = min(config.level_count, n_total + 1)
     h = np.diag(config.rotating_diagonal[:dim])
@@ -366,8 +363,7 @@ def g_eff_perturbative(config: StripConfig, target_level: int, nbar_cross: float
     Product of the m bond couplings divided by the m-1 intermediate bare
     detunings, times nbar^(m/2). Returns the magnitude in GHz.
     """
-    _check_integer("target_level", target_level)
-    m = target_level
+    m = _check_integer("target_level", target_level)
     if m < 1:
         raise ValueError(f"target_level must be >= 1, got {m}")
     if m > config.level_count - 1:

@@ -27,8 +27,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import time
-from contextlib import ExitStack, suppress
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field, replace
 from multiprocessing import Pool
 
@@ -55,7 +56,7 @@ from .strip import (
     jtc_strip_hamiltonian,
     tridiagonal_stack,
 )
-from .transmon import TransmonParams, _check_integer, _finite_float, diagonalize, ej_for_frequency
+from .transmon import TransmonParams, _check_integer, _store_fields, diagonalize, ej_for_frequency
 
 __all__ = [
     "SweepConfig",
@@ -70,14 +71,10 @@ __all__ = [
 DEFAULT_DELTA_GRID = tuple(round(0.6 + 0.02 * i, 10) for i in range(51))
 DEFAULT_NG_GRID = tuple(round(-0.50 + 0.05 * i, 10) for i in range(11))
 
-# what a failed run leaves in its out_dir; a new run removes both first
+# what a failed run leaves in its out_dir
 _FAILURE_FILES = ("failure_manifest.json", "partial_curves.npz")
-
-# every scalar float setting; None stays None
-_SCALAR_FLOATS = (
-    "e_c", "k_eff", "g", "omega_r", "omega_d", "omega_r_dressed",
-    "kappa", "epsilon", "duration", "dt", "threshold", "nbar_step",
-)
+# a successful run's files besides run_info.json, one pair per initial state
+_STATE_FILE = re.compile(r"heatmap_state(0|[1-9][0-9]*)\.csv|boundary_state(0|[1-9][0-9]*)\.json")
 
 # photons the heatmap axis may reach past the members' last sample
 AXIS_SLACK = 1e-12
@@ -132,12 +129,7 @@ class SweepConfig:
     def __post_init__(self):
         # NaN passes range checks and fails deep in a sweep; a numpy float fails
         # json.dumps in config_hash, and an int hashes apart from its float
-        for name in _SCALAR_FLOATS:
-            value = getattr(self, name)
-            if value is not None:
-                setattr(self, name, _finite_float(name, value))
-        self.delta_grid = [_finite_float("delta_grid", delta) for delta in self.delta_grid]
-        self.n_g_grid = [_finite_float("n_g_grid", n_g) for n_g in self.n_g_grid]
+        _store_fields(self)
         # before the drive, whose omega_d defaults to omega_r
         if not self.omega_r > 0:
             raise ValueError(f"omega_r must be positive, got {self.omega_r}")
@@ -155,7 +147,8 @@ class SweepConfig:
             raise ValueError(f"threshold must be in (0, 1), got {self.threshold}")
         if len(set(self.initial_states)) != len(self.initial_states):
             raise ValueError(f"initial_states must not repeat, got {self.initial_states}")
-        states = [_check_state(state, self.level_count) for state in self.initial_states]
+        for state in self.initial_states:
+            _check_state(state, self.level_count)
         drive = self.drive()
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
@@ -165,12 +158,8 @@ class SweepConfig:
             f": the drive at omega_d = {drive.omega_d} GHz is detuned from "
             f"omega_r_dressed = {drive.omega_r_dressed} GHz",
         )
-        _check_integer("workers", self.workers)
         if self.workers < 1:
             raise ValueError(f"worker count must be >= 1, got {self.workers}")
-        self.initial_states = states
-        for name in ("level_count", "charge_cutoff", "sample_stride", "workers"):
-            setattr(self, name, int(getattr(self, name)))
 
     def drive(self) -> DriveConfig:
         """The drive; ``omega_d`` defaults to omega_r, ``omega_r_dressed`` to omega_d."""
@@ -367,16 +356,17 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     ``config`` is checked again first, so a field set after construction
     fails here as it would in the constructor. Raises on the first failing
     point simulation, naming its (delta, n_g) coordinates and the states it
-    carried; with ``out_dir`` set it writes the failure files there, and
-    removes those of an earlier run when it starts. Members are built before
-    the pool starts; a failed build names no point. Results do not depend on
-    worker count.
+    carried; with ``out_dir`` set it writes the failure files there. When it
+    starts, it removes every file a run writes from ``out_dir``, and nothing
+    else, so no earlier run's results or failure files stay beside the new
+    ones. Members are built before the pool starts; a failed build names no
+    point. Results do not depend on worker count.
     """
     t_start = time.monotonic()
     config = replace(config)
-    if config.out_dir:
-        for name in _FAILURE_FILES:
-            with suppress(FileNotFoundError):
+    if config.out_dir and os.path.isdir(config.out_dir):
+        for name in os.listdir(config.out_dir):
+            if name in ("run_info.json", *_FAILURE_FILES) or _STATE_FILE.fullmatch(name):
                 os.remove(os.path.join(config.out_dir, name))
     nbar_axis = config.nbar_axis()
     states = list(config.initial_states)

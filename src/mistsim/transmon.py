@@ -2,13 +2,21 @@
 
 Energies are linear frequencies in GHz (E/h). The angular conversion (x 2*pi,
 rad/ns) happens only inside time propagation, never here.
+
+This module also holds the package's one input rule. ``_store_fields`` stores
+every field of a config dataclass by the kind its annotation declares: a
+``float`` as one finite plain float (``_finite_float``), a ``float | None``
+as that or None, an ``int`` as a plain int, and a ``list[float]`` or
+``list[int]`` as a list of those. Every config calls it first in
+``__post_init__``; its range rules come after.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -27,10 +35,11 @@ __all__ = [
 DEGENERACY_TOL = 1e-12
 
 
-def _check_integer(name: str, value) -> None:
-    """Reject a count that is not an int or numpy integer; ``bool`` is no count."""
+def _check_integer(name: str, value) -> int:
+    """``value`` as a plain int, once it is an int or numpy integer; ``bool`` is no count."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _check_finite(name: str, value) -> None:
@@ -43,11 +52,51 @@ def _check_finite(name: str, value) -> None:
 
 
 def _finite_float(name: str, value) -> float:
-    """``value`` as a plain float, not a numpy one (NEP 50), once it is finite and no bool."""
-    if isinstance(value, (bool, np.bool_)):
+    """``value`` as a plain float, not a numpy one (NEP 50), once it is one finite real number.
+
+    None, a string, a list, a complex and a bool are rejected by name; a 0-d
+    array counts as the number it holds. A finite plain float needs no numpy.
+    """
+    if type(value) is float and math.isfinite(value):
+        return value
+    number = isinstance(value, (int, float, np.number, np.ndarray)) and not isinstance(value, bool)
+    if not number or np.ndim(value) or np.asarray(value).dtype.kind not in "iuf":
         raise ValueError(f"{name} must be a number, got {value!r}")
     _check_finite(name, value)
     return float(value)
+
+
+def _plain_list(name: str, values, store, kind: str) -> list:
+    """``values``, a non-string sequence, as a list of its entries stored by ``store``.
+
+    An entry is named in the singular: ``initial_states`` holds ``initial_state`` values.
+    """
+    sequence = isinstance(values, (Sequence, np.ndarray)) and not isinstance(values, (str, bytes))
+    if not sequence or getattr(values, "ndim", 1) != 1:
+        raise ValueError(f"{name} must be a list of {kind}, got {values!r}")
+    return [store(name.removesuffix("s"), value) for value in values]
+
+
+# annotations are strings under ``from __future__ import annotations``
+_FIELD_STORES = {
+    "float": _finite_float,
+    "float | None": lambda name, value: None if value is None else _finite_float(name, value),
+    "int": _check_integer,
+    "list[float]": lambda name, values: _plain_list(name, values, _finite_float, "numbers"),
+    "list[int]": lambda name, values: _plain_list(name, values, _check_integer, "integers"),
+}
+
+
+def _store_fields(config) -> None:
+    """Store each field of the dataclass ``config`` by the kind its annotation declares.
+
+    A field of another kind (a nested config, an envelope, a path) is left to
+    its class, and so is every range rule.
+    """
+    for f in fields(config):
+        store = _FIELD_STORES.get(f.type)
+        if store:
+            object.__setattr__(config, f.name, store(f.name, getattr(config, f.name)))
 
 
 def _wrap_offset_charge(n_g: float) -> float:
@@ -68,7 +117,8 @@ class TransmonParams:
     n_g : float
         Dimensionless offset charge. Wrapped into [-0.5, 0.5] on construction.
     charge_cutoff : int
-        Charge basis spans -N..+N. Its default is the package's one.
+        Charge basis spans -N..+N. Its default is the package's one. A
+        fractional cutoff would shift the basis, which acts as an offset charge.
     level_count : int
         Eigenstates kept after diagonalization. Its default is the package's one.
     """
@@ -80,15 +130,11 @@ class TransmonParams:
     level_count: int = 20
 
     def __post_init__(self):
-        for name in ("e_c", "e_j", "n_g"):
-            object.__setattr__(self, name, _finite_float(name, getattr(self, name)))
+        _store_fields(self)
         if not self.e_c > 0:
             raise ValueError(f"e_c must be positive, got {self.e_c}")
         if not self.e_j >= 0:
             raise ValueError(f"e_j must be non-negative, got {self.e_j}")
-        # a fractional cutoff shifts the charge basis, which acts as an offset charge
-        _check_integer("charge_cutoff", self.charge_cutoff)
-        _check_integer("level_count", self.level_count)
         if self.level_count < 2:
             raise ValueError(f"level_count must be >= 2, got {self.level_count}")
         if self.charge_cutoff < self.level_count:
@@ -337,9 +383,8 @@ def charge_dispersion(params: TransmonParams, level: int) -> float:
     n_g of ``params`` is ignored.
     """
     n_g_grid = np.linspace(-0.5, 0.5, 21)
-    _check_integer("level", level)
     # a negative index would read the top of the charge basis, not a kept level
-    if not 0 <= level < params.level_count:
+    if not 0 <= _check_integer("level", level) < params.level_count:
         raise ValueError(f"level {level} not kept (level_count={params.level_count})")
     values = np.empty(len(n_g_grid))
     for i, n_g in enumerate(n_g_grid):

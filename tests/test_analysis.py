@@ -210,3 +210,37 @@ class TestFitBoundary:
         assert len(record["points"]) == 3
         sample = record["boundary_samples"][0]
         assert sample["nbar"] == pytest.approx(fit.boundary(1.0))
+
+
+class TestDispersiveParamsInputs:
+    def test_omega_q_must_be_omega_r_plus_delta(self):
+        # 9.0 GHz was accepted, and chi came from the mixed values
+        match = r"omega_q = 9.0 GHz is not omega_r \+ delta = 4.75 \+ 1.1"
+        with pytest.raises(ValueError, match=match):
+            DispersiveParams(g=0.1265, delta=1.1, eta=0.194, omega_r=4.75, omega_q=9.0)
+
+    def test_omega_r_plus_delta_in_floats_accepted(self):
+        for omega_r, delta in ((4.75, 1.1), (4.75, 0.62), (7.1, 0.3)):
+            omega_q = omega_r + delta
+            p = DispersiveParams(g=0.1, delta=delta, eta=0.2, omega_r=omega_r, omega_q=omega_q)
+            assert p.omega_q == omega_r + delta
+
+    @pytest.mark.parametrize(
+        "name, value, match",
+        [
+            ("g", np.nan, "g must be finite, got nan"),
+            ("g", None, "g must be a number, got None"),
+            ("eta", "0.194", "eta must be a number, got '0.194'"),
+            ("omega_r", [4.75], r"omega_r must be a number, got \[4.75\]"),
+            ("delta", 1.1 + 0j, r"delta must be a number, got \(1.1\+0j\)"),
+        ],
+    )
+    def test_wrong_kind_rejected(self, name, value, match):
+        # a NaN g gave chi = nan and dressed frequencies (nan, nan)
+        settings = dict(g=0.126513, delta=1.1, eta=0.194, omega_r=4.75, omega_q=5.85)
+        with pytest.raises(ValueError, match=match):
+            DispersiveParams(**{**settings, name: value})
+
+    def test_settings_become_plain_floats(self):
+        p = DispersiveParams(g=np.float32(0.1), delta=1, eta=0.2, omega_r=4.75, omega_q=5.75)
+        assert all(type(getattr(p, name)) is float for name in ("g", "delta", "eta"))

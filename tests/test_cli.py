@@ -389,3 +389,25 @@ class TestStartup:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "config, detail",
+    [
+        ({"threshold": None}, "threshold must be a number, got None"),
+        ({"e_c": "0.194"}, "e_c must be a number, got '0.194'"),
+        ({"delta_grid": 1.1}, "delta_grid must be a list of numbers, got 1.1"),
+        ({"initial_states": 0}, "initial_states must be a list of integers, got 0"),
+    ],
+    ids=["threshold-null", "e_c-string", "delta_grid-scalar", "initial_states-scalar"],
+)
+def test_config_file_setting_of_the_wrong_kind(capsys, tmp_path, config, detail):
+    # each exited 1 with a raw TypeError that named no setting
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "sweep"
+    code, stdout, err = run_cli(capsys, "sweep", "--config", str(cfg_path), "--out", str(out))
+    assert code == 1
+    assert json.loads(err) == {"error": "ValueError", "detail": detail}
+    assert stdout == ""
+    assert not out.exists()

@@ -663,3 +663,26 @@ class TestChargeAveraging:
         curve = charge_averaged_survival(ref_sim, n_g_grid=[0.2], nbar_axis=axis)
         member = survival_vs_nbar(ref_trace)
         assert curve.survival_running_min[-1] == member.survival_running_min[-1]
+
+
+@pytest.mark.parametrize(
+    "name, value, match",
+    [
+        ("dt", None, "dt must be a number, got None"),
+        ("dt", "0.1", "dt must be a number, got '0.1'"),
+        ("dt", [0.1], r"dt must be a number, got \[0.1\]"),
+        ("dt", 0.1 + 0j, r"dt must be a number, got \(0.1\+0j\)"),
+        ("sample_stride", "1", "sample_stride must be an integer, got '1'"),
+        ("initial_state", None, "initial_state must be an integer, got None"),
+    ],
+)
+def test_simulation_rejects_a_setting_of_the_wrong_kind(ref_strip, ref_drive, name, value, match):
+    with pytest.raises(ValueError, match=match):
+        SimulationConfig(strip=ref_strip, drive=ref_drive, **{name: value})
+
+
+def test_simulation_stores_plain_counts(ref_strip, ref_drive):
+    sim = SimulationConfig(
+        strip=ref_strip, drive=ref_drive, initial_state=np.int64(1), sample_stride=np.int32(2)
+    )
+    assert type(sim.initial_state) is int and type(sim.sample_stride) is int

@@ -347,3 +347,20 @@ class TestHelpers:
         single = resonant_drive(epsilon=np.float32(0.045))
         plain = resonant_drive(epsilon=float(np.float32(0.045)))
         assert np.array_equal(field_amplitude(single, times), field_amplitude(plain, times))
+
+
+@pytest.mark.parametrize(
+    "name, value, match",
+    [
+        ("epsilon", None, "epsilon must be a number, got None"),
+        ("kappa", "0.05", "kappa must be a number, got '0.05'"),
+        ("duration", [100.0], r"duration must be a number, got \[100.0\]"),
+        ("omega_d", OMEGA_R + 0j, r"omega_d must be a number, got \(4.75\+0j\)"),
+    ],
+)
+def test_drive_rejects_a_setting_of_the_wrong_kind(name, value, match):
+    settings = dict(
+        epsilon=EPSILON, omega_d=OMEGA_R, omega_r_dressed=OMEGA_R, kappa=KAPPA, duration=100.0
+    )
+    with pytest.raises(ValueError, match=match):
+        DriveConfig(**{**settings, name: value})

@@ -577,3 +577,18 @@ class TestStripConfig:
         rec = CrossingRecord(0, 9, 39.6, 0.025, 0.0125)
         d = rec.to_dict()
         assert d["branch_a"] == 0 and d["g_eff"] == 0.0125
+
+
+@pytest.mark.parametrize(
+    "settings, match",
+    [
+        (dict(omega_r=None, k_eff=K_EFF), "omega_r must be a number, got None"),
+        (dict(omega_r=OMEGA_R, g="0.1"), "g must be a number, got '0.1'"),
+        (dict(omega_r=OMEGA_R, k_eff=[K_EFF]), r"k_eff must be a number, got \[0.048\]"),
+        (dict(omega_r=OMEGA_R + 0j, k_eff=K_EFF), r"omega_r must be a number, got \(4.75\+0j\)"),
+    ],
+    ids=["omega_r-none", "g-string", "k_eff-list", "omega_r-complex"],
+)
+def test_strip_rejects_a_setting_of_the_wrong_kind(ref_eigen, settings, match):
+    with pytest.raises(ValueError, match=match):
+        StripConfig(eigen=ref_eigen, **settings)

@@ -1,3 +1,4 @@
+import dataclasses
 import filecmp
 import inspect
 import json
@@ -297,9 +298,10 @@ class TestSweepConfig:
             kappa=np.array(1.0 / 22.0),
             out_dir=str(tmp_path / "out"),
         )
-        for name in sweep_mod._SCALAR_FLOATS:
-            value = getattr(cfg, name)
-            assert value is None or type(value) is float, name
+        for f in dataclasses.fields(cfg):
+            if f.type in ("float", "float | None"):
+                value = getattr(cfg, f.name)
+                assert value is None or type(value) is float, f.name
         assert cfg.g is None and cfg.omega_d is None and cfg.omega_r_dressed is None
         assert cfg.epsilon == float(np.float32(0.045))
         assert cfg.kappa == 1.0 / 22.0
@@ -535,3 +537,69 @@ class TestAtCharge:
         strip = StripConfig(eigen=eigen, omega_r=4.75, g=0.1)
         with pytest.raises(ValueError, match="no transmon provenance"):
             strip.at_charge(0.2)
+
+
+class TestSettingKinds:
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            # threshold null in a config file compared None with 0
+            ({"threshold": None}, "threshold must be a number, got None"),
+            ({"e_c": "0.194"}, "e_c must be a number, got '0.194'"),
+            ({"kappa": [0.05]}, r"kappa must be a number, got \[0.05\]"),
+            ({"epsilon": 0.045 + 0j}, r"epsilon must be a number, got \(0.045\+0j\)"),
+            ({"delta_grid": 1.1}, "delta_grid must be a list of numbers, got 1.1"),
+            ({"delta_grid": "1.1"}, "delta_grid must be a list of numbers, got '1.1'"),
+            ({"n_g_grid": 0.0}, "n_g_grid must be a list of numbers, got 0.0"),
+            ({"n_g_grid": [0.0, None]}, "n_g_grid must be a number, got None"),
+            ({"delta_grid": [1.0, [1.1]]}, r"delta_grid must be a number, got \[1.1\]"),
+            ({"initial_states": 0}, "initial_states must be a list of integers, got 0"),
+            ({"initial_states": "01"}, "initial_states must be a list of integers, got '01'"),
+            ({"initial_states": [0, None]}, "initial_state must be an integer, got None"),
+            ({"level_count": "20"}, "level_count must be an integer, got '20'"),
+        ],
+    )
+    def test_wrong_kind_rejected_when_built(self, overrides, match, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=match):
+            small_config(**overrides, out_dir=str(out))
+        assert not out.exists()
+
+
+class TestStaleFiles:
+    def test_fewer_states_leave_no_earlier_state_files(self, tmp_path):
+        # the first run's state-1 files stayed beside the second run's results
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept")
+        (out / "heatmap_state01.csv").write_text("no run writes this name")
+        run_sweep(small_config(
+            delta_grid=[1.1], n_g_grid=[0.0], initial_states=[0, 1], duration=20.0,
+            out_dir=str(out),
+        ))
+        assert (out / "heatmap_state1.csv").exists()
+        second = small_config(
+            delta_grid=[1.1], n_g_grid=[0.0], initial_states=[0], duration=20.0,
+            threshold=0.95, out_dir=str(out),
+        )
+        run_sweep(second)
+        assert sorted(os.listdir(out)) == [
+            "boundary_state0.json", "heatmap_state0.csv", "heatmap_state01.csv",
+            "notes.txt", "run_info.json",
+        ]
+        record = json.loads((out / "boundary_state0.json").read_text())
+        assert record["config_hash"] == config_hash(second)
+
+    def test_failed_run_leaves_no_earlier_results(self, monkeypatch, tmp_path):
+        out = tmp_path / "out"
+        cfg = small_config(delta_grid=[1.1], n_g_grid=[0.0], duration=20.0, out_dir=str(out))
+        run_sweep(cfg)
+        assert (out / "heatmap_state0.csv").exists()
+
+        def failing(task):
+            raise np.linalg.LinAlgError("injected")
+
+        monkeypatch.setattr(sweep_mod, "_point_survival", failing)
+        with pytest.raises(RuntimeError):
+            run_sweep(cfg)
+        assert sorted(os.listdir(out)) == ["failure_manifest.json", "partial_curves.npz"]

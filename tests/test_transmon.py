@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import mistsim.transmon as transmon_mod
+from mistsim.analysis import DispersiveParams
+from mistsim.dynamics import SimulationConfig
+from mistsim.field import DriveConfig
+from mistsim.strip import StripConfig
 from mistsim.sweep import SweepConfig
 from mistsim.transmon import (
     TransmonParams,
@@ -451,3 +455,50 @@ class TestKBend:
             k_bend(4.0, 4.75, 0.2)
         with pytest.raises(ValueError):
             k_bend(5.75, 4.75, -0.2)
+
+
+# the composite fields: nested configs, a path and an envelope, each checked by its class
+COMPOSITE_FIELDS = {"eigen", "strip", "drive", "envelope", "out_dir"}
+
+
+class TestStoreFields:
+    def test_every_config_field_has_a_stored_kind(self):
+        # a future Optional[float] or list[str] would otherwise skip the pass silently
+        configs = (
+            TransmonParams, DriveConfig, StripConfig, SimulationConfig, SweepConfig,
+            DispersiveParams,
+        )
+        unstored = {
+            f.name
+            for config in configs
+            for f in fields(config)
+            if f.type not in transmon_mod._FIELD_STORES
+        }
+        assert unstored == COMPOSITE_FIELDS
+
+    @pytest.mark.parametrize(
+        "value",
+        [None, "0.194", [0.194], (0.194,), 0.194 + 0j, np.complex128(0.194), np.array([0.194])],
+    )
+    def test_finite_float_rejects_what_is_not_one_real_number(self, value):
+        with pytest.raises(ValueError, match="e_c must be a number, got"):
+            transmon_mod._finite_float("e_c", value)
+
+    @pytest.mark.parametrize(
+        "name, value, match",
+        [
+            ("e_c", None, "e_c must be a number, got None"),
+            ("e_j", "8.0", "e_j must be a number, got '8.0'"),
+            ("n_g", [0.2], r"n_g must be a number, got \[0.2\]"),
+            ("e_c", 0.2 + 0j, r"e_c must be a number, got \(0.2\+0j\)"),
+            ("charge_cutoff", None, "charge_cutoff must be an integer, got None"),
+            ("level_count", "20", "level_count must be an integer, got '20'"),
+        ],
+    )
+    def test_params_reject_a_setting_of_the_wrong_kind(self, name, value, match):
+        with pytest.raises(ValueError, match=match):
+            TransmonParams(**{"e_c": 0.2, "e_j": 8.0, name: value})
+
+    def test_numpy_integer_counts_become_plain_ints(self):
+        p = TransmonParams(e_c=0.2, e_j=8.0, charge_cutoff=np.int64(30), level_count=np.int32(5))
+        assert type(p.charge_cutoff) is int and type(p.level_count) is int
