@@ -4,6 +4,10 @@ All formulas are homogeneous in frequency, so linear GHz units are used
 throughout. The boundary model is a phenomenological exponential
 n_fit = A*exp(B*delta) fitted in log space, with the operating limit defined
 as n_fit - sqrt(n_fit).
+
+Onsets are read from plain arrays: a sweep's (detunings, axis) heatmap of
+running-min survival rows, all on one photon-number axis. The module needs
+no propagation type; it depends only on the input rule in ``transmon``.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dynamics import SurvivalCurve
 from .transmon import _check_finite, _store_fields
 
 __all__ = [
@@ -114,37 +117,38 @@ class OnsetPoint:
 
 
 def extract_onsets(
-    curves: list[tuple[float, SurvivalCurve]],
-    threshold: float = 0.9,
-    initial_state: int = 0,
+    delta_grid, nbar_axis, survival, threshold: float, initial_state: int = 0
 ) -> list[OnsetPoint]:
-    """Onset points from per-detuning survival curves, monotonically filtered.
+    """Onset points from running-min survival rows on one axis, monotonically filtered.
 
-    For each curve (ascending detuning) the onset is the first grid photon
-    number where the running-min survival drops below the threshold; a point
-    is then kept only if its onset is strictly larger than every kept
+    ``survival`` holds one row per detuning of ``delta_grid`` (ascending), all
+    sampled on the one photon-number axis ``nbar_axis``. A row's onset is the
+    first axis photon number where its survival drops below the threshold,
+    read for all rows at once from the ``below`` mask; a point is then kept
+    only if its onset is positive and strictly larger than every kept
     predecessor's. The quoted uncertainty is the coherent-state fluctuation
     sqrt(nbar).
     """
     if not 0 < threshold < 1:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    deltas = [d for d, _ in curves]
-    if any(b <= a for a, b in zip(deltas, deltas[1:])):
-        raise ValueError("curves must be indexed by strictly ascending delta")
+    if any(b <= a for a, b in zip(delta_grid, delta_grid[1:])):
+        raise ValueError("delta_grid must be strictly ascending")
+    below = np.asarray(survival) < threshold
+    shape = (len(delta_grid), len(nbar_axis))
+    if below.shape != shape:
+        raise ValueError(f"survival has shape {below.shape}, not (detunings, axis) = {shape}")
+    if not below.size:  # argmax has no first index on an empty axis
+        return []
+    # first axis photon number below the threshold per row, 0 where none is
+    onsets = np.where(below.any(axis=1), np.asarray(nbar_axis)[below.argmax(axis=1)], 0.0)
     kept: list[OnsetPoint] = []
-    best = -np.inf
-    for delta, curve in curves:
-        below = curve.survival_running_min < threshold
-        if not np.any(below):
-            continue
-        nbar_star = float(curve.nbar_axis[int(np.argmax(below))])
-        if nbar_star <= 0:
-            continue
+    best = 0.0
+    for delta, nbar_star in zip(delta_grid, onsets):
         if nbar_star > best:
             kept.append(
                 OnsetPoint(
                     delta=float(delta),
-                    nbar_onset=nbar_star,
+                    nbar_onset=float(nbar_star),
                     uncertainty=float(np.sqrt(nbar_star)),
                     initial_state=initial_state,
                 )

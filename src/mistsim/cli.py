@@ -26,10 +26,15 @@ from .transmon import _check_finite, k_bend
 CONFIG_KEYS = [f.name for f in dataclasses.fields(SweepConfig)]
 
 
+def _write_error(error: str, detail: str) -> None:
+    """The one JSON error record on stderr, a line of its own."""
+    json.dump({"error": error, "detail": detail}, sys.stderr)
+    sys.stderr.write("\n")
+
+
 class _JsonErrorParser(argparse.ArgumentParser):
     def error(self, message):
-        json.dump({"error": "usage", "detail": message}, sys.stderr)
-        sys.stderr.write("\n")
+        _write_error("usage", message)
         raise SystemExit(2)
 
 
@@ -241,8 +246,7 @@ def main(argv=None) -> int:
     except SystemExit:
         raise
     except Exception as exc:
-        json.dump({"error": type(exc).__name__, "detail": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
+        _write_error(type(exc).__name__, str(exc))
         return 1
 
 

@@ -320,7 +320,7 @@ def propagate_states(config: SimulationConfig, states) -> list[PopulationTrace]:
         # contiguous (samples, K), so reductions round as in a one-state run
         psis = np.ascontiguousarray(block[:, :, j])
         norms = np.linalg.norm(psis, axis=1)
-        if np.max(np.abs(norms - 1.0)) > NORM_TOL:
+        if not np.all(np.abs(norms - 1.0) <= NORM_TOL):
             raise RuntimeError(
                 f"norm drifted to {np.max(np.abs(norms - 1.0)):.3g} (> {NORM_TOL}); "
                 "propagator defect"

@@ -401,14 +401,12 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     boundaries: dict[int, TransitionBoundary | str] = {}
     for j, state in enumerate(states):
         heatmap = _charge_average(members[:, :, j])
-        if np.any(heatmap < 0) or np.any(heatmap > 1 + 1e-9):
+        if not np.all((heatmap >= 0) & (heatmap <= 1 + 1e-9)):
             raise RuntimeError("survival heatmap left [0, 1]")
         heatmaps[state] = heatmap
-        curves = [
-            (delta, SurvivalCurve(nbar_axis, heatmap[i]))
-            for i, delta in enumerate(config.delta_grid)
-        ]
-        onsets[state] = extract_onsets(curves, config.threshold, initial_state=state)
+        onsets[state] = extract_onsets(
+            config.delta_grid, nbar_axis, heatmap, config.threshold, initial_state=state
+        )
         try:
             boundaries[state] = fit_boundary(onsets[state])
         except ValueError:

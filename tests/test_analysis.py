@@ -14,16 +14,33 @@ from mistsim.analysis import (
     n_crit,
     stark_to_photons,
 )
-from mistsim.dynamics import SurvivalCurve
 
 REF = DispersiveParams(g=0.126513, delta=1.1, eta=0.194, omega_r=4.750, omega_q=5.850)
 
 
-def step_curve(onset_nbar, nbar_max=60.0, low=0.5):
-    """Survival 1 until onset_nbar, then `low`, on a 0.5-photon grid."""
-    axis = np.arange(0.0, nbar_max + 1e-9, 0.5)
-    survival = np.where(axis < onset_nbar, 1.0, low)
-    return SurvivalCurve(nbar_axis=axis, survival_running_min=survival)
+AXIS = np.arange(0.0, 60.0 + 1e-9, 0.5)
+
+
+def step_row(onset_nbar, low=0.5):
+    """Survival 1 until onset_nbar, then `low`, on the 0.5-photon AXIS."""
+    return np.where(AXIS < onset_nbar, 1.0, low)
+
+
+def reference_onsets(deltas, axis, rows, threshold, initial_state=0):
+    """The per-curve rule the array scan replaced, one row at a time."""
+    kept, best = [], -np.inf
+    for delta, row in zip(deltas, rows):
+        below = row < threshold
+        if not np.any(below):
+            continue
+        nbar_star = float(axis[int(np.argmax(below))])
+        if nbar_star <= 0:
+            continue
+        if nbar_star > best:
+            root = float(np.sqrt(nbar_star))
+            kept.append(OnsetPoint(float(delta), nbar_star, root, initial_state))
+            best = nbar_star
+    return kept
 
 
 class TestDispersiveShift:
@@ -109,44 +126,67 @@ class TestCriticalPhotonNumber:
 class TestExtractOnsets:
     def test_flat_curve_yields_nothing(self):
         axis = np.arange(0.0, 50.0, 0.5)
-        curves = [(1.0, SurvivalCurve(axis, np.ones(len(axis))))]
-        assert extract_onsets(curves) == []
+        assert extract_onsets([1.0], axis, np.ones((1, len(axis))), 0.9) == []
 
     def test_onset_is_first_grid_point_below_threshold(self):
-        onsets = extract_onsets([(1.0, step_curve(30.0))], threshold=0.9)
+        onsets = extract_onsets([1.0], AXIS, [step_row(30.0)], threshold=0.9)
         assert len(onsets) == 1
         assert onsets[0].nbar_onset == 30.0
         assert onsets[0].uncertainty == pytest.approx(np.sqrt(30.0))
         assert onsets[0].delta == 1.0
 
     def test_monotonic_filter(self):
-        curves = [
-            (1.0, step_curve(30.0)),
-            (1.1, step_curve(25.0)),
-            (1.2, step_curve(40.0)),
-        ]
-        kept = extract_onsets(curves, threshold=0.9)
+        rows = [step_row(30.0), step_row(25.0), step_row(40.0)]
+        kept = extract_onsets([1.0, 1.1, 1.2], AXIS, rows, threshold=0.9)
         assert [(p.delta, p.nbar_onset) for p in kept] == [(1.0, 30.0), (1.2, 40.0)]
 
     def test_plateau_keeps_first_point_only(self):
-        curves = [(1.0, step_curve(30.0)), (1.1, step_curve(30.0))]
-        kept = extract_onsets(curves)
+        kept = extract_onsets([1.0, 1.1], AXIS, [step_row(30.0), step_row(30.0)], 0.9)
         assert [(p.delta, p.nbar_onset) for p in kept] == [(1.0, 30.0)]
 
     def test_threshold_honored(self):
-        curves = [(1.0, step_curve(30.0, low=0.85))]
-        assert extract_onsets(curves, threshold=0.8) == []
-        assert len(extract_onsets(curves, threshold=0.9)) == 1
+        rows = [step_row(30.0, low=0.85)]
+        assert extract_onsets([1.0], AXIS, rows, threshold=0.8) == []
+        assert len(extract_onsets([1.0], AXIS, rows, threshold=0.9)) == 1
 
     def test_initial_state_carried(self):
-        kept = extract_onsets([(1.0, step_curve(30.0))], initial_state=1)
+        kept = extract_onsets([1.0], AXIS, [step_row(30.0)], 0.9, initial_state=1)
         assert kept[0].initial_state == 1
 
     def test_validation(self):
         with pytest.raises(ValueError, match="threshold"):
-            extract_onsets([(1.0, step_curve(30.0))], threshold=1.5)
+            extract_onsets([1.0], AXIS, [step_row(30.0)], threshold=1.5)
         with pytest.raises(ValueError, match="ascending"):
-            extract_onsets([(1.2, step_curve(30.0)), (1.0, step_curve(40.0))])
+            extract_onsets([1.2, 1.0], AXIS, [step_row(30.0), step_row(40.0)], 0.9)
+
+    def test_shape_mismatch_rejected(self):
+        # argmax would read a row's onset off another axis, or past its end
+        with pytest.raises(ValueError, match=r"survival has shape \(1, 121\), not .* = \(2, 121\)"):
+            extract_onsets([1.0, 1.1], AXIS, [step_row(30.0)], 0.9)
+        with pytest.raises(ValueError, match=r"survival has shape \(1, 121\), not .* = \(1, 120\)"):
+            extract_onsets([1.0], AXIS[:-1], [step_row(30.0)], 0.9)
+
+    def test_empty_axis_or_grid_yields_nothing(self):
+        assert extract_onsets([1.0], np.array([]), np.empty((1, 0)), 0.9) == []
+        assert extract_onsets([], AXIS, np.empty((0, len(AXIS))), 0.9) == []
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        data=st.data(),
+        steps=st.lists(st.floats(min_value=0.0, max_value=5.0), min_size=1, max_size=12),
+        count=st.integers(min_value=0, max_value=6),
+        threshold=st.floats(min_value=0.05, max_value=0.95),
+    )
+    def test_array_scan_equals_the_per_curve_rule(self, data, steps, count, threshold):
+        # axis from 0 (whose onset is skipped) with ties allowed, rows on it
+        axis = np.cumsum(steps) - steps[0]
+        deltas = 0.6 + 0.1 * np.arange(count)
+        value = st.floats(min_value=0.0, max_value=1.0)
+        rows = np.array(
+            [data.draw(st.lists(value, min_size=len(axis), max_size=len(axis))) for _ in deltas]
+        ).reshape(count, len(axis))
+        got = extract_onsets(deltas, axis, rows, threshold, initial_state=1)
+        assert got == reference_onsets(deltas, axis, rows, threshold, initial_state=1)
 
 
 class TestFitBoundary:

@@ -337,6 +337,17 @@ class TestPropagate:
         with pytest.raises(ValueError, match="initial_state must be an integer, got 0.5"):
             propagate_states(ref_sim, [0.5])
 
+    def test_nan_norm_is_a_defect(self, monkeypatch):
+        # np.max(...) > NORM_TOL is False for NaN, so NaN states passed the check
+        original = dynamics.evolve_piecewise_constant
+
+        def nan_states(*args):
+            return np.full_like(original(*args), np.nan)
+
+        monkeypatch.setattr(dynamics, "evolve_piecewise_constant", nan_states)
+        with pytest.raises(RuntimeError, match="norm drifted to nan"):
+            propagate(SweepConfig(duration=20.0).simulation(1.1, 0.2))
+
     def test_csv_export(self, ref_trace, tmp_path):
         path = tmp_path / "trace.csv"
         ref_trace.to_csv(path)

@@ -169,6 +169,19 @@ class TestRunSweep:
             "nbar_axis",
         ]
 
+    def test_nan_heatmap_is_rejected_before_any_file(self, monkeypatch, tmp_path):
+        # NaN failed neither `< 0` nor `> 1`, so an all-NaN heatmap was written
+        def nan_curves(task):
+            _, states, nbar_axis = task
+            return [np.full(len(nbar_axis), np.nan) for _ in states]
+
+        monkeypatch.setattr(sweep_mod, "_point_survival", nan_curves)
+        out = tmp_path / "out"
+        cfg = small_config(delta_grid=[1.1], n_g_grid=[0.0], duration=20.0, out_dir=str(out))
+        with pytest.raises(RuntimeError, match=r"survival heatmap left \[0, 1\]"):
+            run_sweep(cfg)
+        assert not (out / "heatmap_state0.csv").exists()
+
     def test_two_states_equal_one_state_sweeps(self):
         cfg = small_config(initial_states=[0, 1], duration=20.0)
         both = run_sweep(cfg)
