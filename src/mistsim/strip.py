@@ -15,6 +15,12 @@ bonds are bitwise the ladder's, so at the defaults the check reads exactly
 drive frame (``dynamics``) gauges out the field's phase, and the complex
 lab-frame matrix is a test reference. ``find_avoided_crossings`` refines
 every gap minimum in one closed-form pass.
+
+The one branch tracker, ``_tracked_blocks``, diagonalizes, overlaps and
+matches ``TRACK_CHUNK`` points at a time, each block continuing from the
+branch-ordered vectors at the end of the block before, so a long grid costs
+time, not memory. ``dynamics`` reads populations out of each block and drops
+it; ``tracked_eigenbasis`` and ``fan_diagram`` concatenate the blocks.
 """
 
 from __future__ import annotations
@@ -44,6 +50,9 @@ __all__ = [
 TIE_TOL = 1e-6
 #: Best overlap below which ``match_branches`` calls a match low-overlap.
 LOW_OVERLAP = 0.5
+#: Points diagonalized and tracked at a time: a tracker's working memory is a
+#: few (TRACK_CHUNK, K, K) stacks, whatever the length of the grid.
+TRACK_CHUNK = 256
 
 
 def _check_coupling(g: float | None, k_eff: float | None) -> None:
@@ -236,6 +245,52 @@ def match_branches(prev_vecs: np.ndarray, cur_vecs: np.ndarray) -> tuple[np.ndar
     return columns, low_overlap, ambiguous
 
 
+def _tracked_blocks(config: StripConfig, nbar: np.ndarray):
+    """``tracked_eigenbasis`` ``TRACK_CHUNK`` points at a time.
+
+    Yields (energies, vectors, flagged) for each block of points in turn;
+    ``flagged`` holds indices into the whole grid. A block's first point is
+    matched to the branch-ordered eigenvectors at the last point of the block
+    before it, which are the previous vectors a point-by-point tracker would
+    pass ``match_branches``, so blocks of any size give the same labels, flags
+    and bits.
+    """
+    nbar = np.asarray(nbar, float)
+    if nbar[0] != 0.0:
+        raise ValueError(
+            f"nbar must start at 0 to anchor branch labels, got nbar[0] = {nbar[0]}"
+        )
+    prev = None  # branch-ordered eigenvectors at the last point of the previous block
+    for lo in range(0, len(nbar), TRACK_CHUNK):
+        evals, evecs = np.linalg.eigh(
+            tridiagonal_stack(
+                config.rotating_diagonal, bond_amplitudes(config, nbar[lo : lo + TRACK_CHUNK])
+            )
+        )
+        columns = np.empty(evals.shape, dtype=int)
+        if prev is None:  # branch j is anchored to the eigenvector of bare level j
+            columns[0, np.argmax(np.abs(evecs[0]), axis=0)] = np.arange(evals.shape[1])
+            first, before, order = 1, evecs[:-1], columns[0]
+        else:  # prev is in branch order already
+            first, before = 0, np.concatenate((prev[None], evecs[:-1]))
+            order = np.arange(evals.shape[1])
+        best_cols, ok = _row_maxima_assign(
+            np.abs(np.matmul(before.transpose(0, 2, 1), evecs[first:]))
+        )
+        flagged = []
+        for i, rows, best, accept in zip(range(first, len(evecs)), before, best_cols, ok):
+            if accept:
+                columns[i] = best[order]
+            else:
+                columns[i], low, ambiguous = match_branches(rows[:, order], evecs[i])
+                if low or ambiguous:
+                    flagged.append(lo + i)
+            order = columns[i]
+        vectors = np.take_along_axis(evecs, columns[:, None, :], axis=2)
+        prev = vectors[-1].copy()
+        yield np.take_along_axis(evals, columns, axis=1), vectors, flagged
+
+
 def tracked_eigenbasis(
     config: StripConfig, nbar: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -245,43 +300,24 @@ def tracked_eigenbasis(
     bare level j; each later point is matched to the previous one by
     ``match_branches``. Returns (energies, vectors, flagged): ``energies[i, j]``
     and ``vectors[i, :, j]`` belong to branch j at point i, and ``flagged``
-    lists the points with a low-overlap or ambiguous match.
+    lists the points with a low-overlap or ambiguous match. This is the
+    whole-grid form of ``_tracked_blocks``, whose blocks it concatenates.
 
-    The overlaps of all consecutive points come from one stacked product of
-    the eigenvectors in eigenvalue order. A branch order only permutes the
-    rows of an overlap, which leaves the row-maxima test unchanged, so the
-    test runs on every point at once and the orders compose as integer
-    permutations; where it accepts, ``match_branches`` would return its
-    columns with no flag. The stacked overlaps may round in the last bit
-    unlike one product per point, but they only decide the test, whose
-    margins (``TIE_TOL``, ``LOW_OVERLAP``) are far wider; the energies and
-    vectors are gathered, not computed. ``match_branches`` runs, on the
-    ordered previous vectors as a point-by-point tracker would call it, only
-    where the test fails, so every order, flag and bit is that tracker's.
+    The overlaps of consecutive points in a block come from one stacked
+    product of the eigenvectors in eigenvalue order. A branch order only
+    permutes the rows of an overlap, which leaves the row-maxima test
+    unchanged, so the test runs on every point of a block at once and the
+    orders compose as integer permutations; where it accepts,
+    ``match_branches`` would return its columns with no flag. The stacked
+    overlaps may round in the last bit unlike one product per point, but they
+    only decide the test, whose margins (``TIE_TOL``, ``LOW_OVERLAP``) are far
+    wider; the energies and vectors are gathered, not computed.
+    ``match_branches`` runs, on the ordered previous vectors as a
+    point-by-point tracker would call it, only where the test fails, so every
+    order, flag and bit is that tracker's.
     """
-    nbar = np.asarray(nbar, float)
-    if nbar[0] != 0.0:
-        raise ValueError(
-            f"nbar must start at 0 to anchor branch labels, got nbar[0] = {nbar[0]}"
-        )
-    evals, evecs = np.linalg.eigh(
-        tridiagonal_stack(config.rotating_diagonal, bond_amplitudes(config, nbar))
-    )
-    overlap = np.abs(np.matmul(evecs[:-1].transpose(0, 2, 1), evecs[1:]))
-    best_cols, ok = _row_maxima_assign(overlap)
-    columns = np.empty(evals.shape, dtype=int)
-    columns[0, np.argmax(np.abs(evecs[0]), axis=0)] = np.arange(evals.shape[1])
-    flagged = []
-    for i in range(1, len(evecs)):
-        if ok[i - 1]:
-            columns[i] = best_cols[i - 1, columns[i - 1]]
-            continue
-        columns[i], low, ambiguous = match_branches(evecs[i - 1][:, columns[i - 1]], evecs[i])
-        if low or ambiguous:
-            flagged.append(i)
-    energies = np.take_along_axis(evals, columns, axis=1)
-    vectors = np.take_along_axis(evecs, columns[:, None, :], axis=2)
-    return energies, vectors, flagged
+    energies, vectors, flagged = zip(*_tracked_blocks(config, nbar))
+    return np.concatenate(energies), np.concatenate(vectors), [i for f in flagged for i in f]
 
 
 def fan_diagram(config: StripConfig, nbar_grid: np.ndarray) -> SpectrumResult:

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from dataclasses import replace
 
+import mistsim.strip as strip_mod
 import mistsim.sweep as sweep_mod
 from mistsim import dynamics
 from mistsim.dynamics import (
@@ -299,16 +302,32 @@ class TestPropagate:
 
     @pytest.mark.parametrize("chunk", [2, 256])
     def test_step_chunks_equal_one_stack(self, ref_strip, ref_drive, chunk, monkeypatch):
-        # the step stack goes through the kernel a chunk at a time; no chunk
-        # boundary may move a bit against one stack of every sub-step
+        # the step stack goes through the kernel, and the samples through the
+        # tracker and read-out, a chunk at a time; no chunk boundary may move
+        # a bit against one stack of every sub-step and every sample
         sim = SimulationConfig(strip=ref_strip, drive=member_drive(ref_drive, "dressed"))
         monkeypatch.setattr(dynamics, "STEP_CHUNK", chunk)
+        monkeypatch.setattr(strip_mod, "TRACK_CHUNK", chunk + 1)
         chunked = propagate_states(sim, [0, 1])
         monkeypatch.setattr(dynamics, "STEP_CHUNK", 10**9)
+        monkeypatch.setattr(strip_mod, "TRACK_CHUNK", 10**9)
         whole = propagate_states(sim, [0, 1])
         for a, b in zip(chunked, whole):
             assert np.array_equal(a.populations, b.populations)
             assert np.array_equal(a.norm, b.norm)
+            assert a.flagged_samples == b.flagged_samples
+
+    def test_working_memory_does_not_grow_with_samples(self):
+        # 4 001 samples, tracked and read out a block at a time; tracking the
+        # whole grid at once and keeping every step's state peaked at 50.9 MB
+        sim = SweepConfig(dt=0.025).simulation(1.1, 0.2)
+        tracemalloc.start()
+        try:
+            propagate_states(sim, [0, 1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
     def test_default_step_matches_refined_dt(self, stiff_corner):
         # (0.6, -0.5) is the stiffest grid corner; CF4 without kink-aligned

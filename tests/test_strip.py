@@ -237,6 +237,7 @@ class TestFanDiagram:
         else:
             config = strip_for_detuning(SweepConfig(), delta, n_g)
             grid = np.arange(0, 124 + 1e-12, step)
+        seq_energies, seq_vectors, seq_flagged = sequential_tracker(config, grid)
         calls = []
 
         def counted(prev, cur):
@@ -244,14 +245,17 @@ class TestFanDiagram:
             return match_branches(prev, cur)
 
         monkeypatch.setattr(strip, "match_branches", counted)
-        energies, vectors, flagged = tracked_eigenbasis(config, grid)
-        # only the points that fail the fast-path test reach match_branches
-        assert len(calls) == fallbacks
-        assert flagged == expected_flags
-        seq_energies, seq_vectors, seq_flagged = sequential_tracker(config, grid)
-        assert np.array_equal(energies, seq_energies)
-        assert np.array_equal(vectors, seq_vectors)
-        assert flagged == seq_flagged
+        # blocks of 1-3 points put block boundaries at the fallbacks at points 1 and 2
+        for block in (strip.TRACK_CHUNK, 1, 2, 3):
+            monkeypatch.setattr(strip, "TRACK_CHUNK", block)
+            calls.clear()
+            energies, vectors, flagged = tracked_eigenbasis(config, grid)
+            # only the points that fail the fast-path test reach match_branches
+            assert len(calls) == fallbacks
+            assert flagged == expected_flags
+            assert np.array_equal(energies, seq_energies)
+            assert np.array_equal(vectors, seq_vectors)
+            assert flagged == seq_flagged
 
     def test_tracker_rejects_nonzero_start(self):
         # from nbar = 40 two branches share an anchor and come back duplicated
