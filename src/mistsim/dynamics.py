@@ -50,6 +50,25 @@ branch-tracked and read out ``strip.TRACK_CHUNK`` samples at a time, and
 each block's vectors are dropped once read. ``eigh`` and every product act
 per matrix, so the blocks are bitwise one stack, and a member's working
 memory depends on K and the block sizes, not on its sample count.
+
+The two streams of ``eigh`` are independent, and batched ``eigh`` releases
+the GIL, so they run at once. A helper thread, started and joined inside
+each ``propagate_states`` call, builds, diagonalizes and applies the step
+chunks and copies out the sample-time states (``_step_samples``). The
+calling thread meanwhile tracks the sample basis, and reads each block out
+once the helper has published that block's last sample (``_Handoff``). An
+exception on either thread ends the handoff: one on the helper is raised
+again in the caller, and one in the caller stops the helper at its next
+chunk. No thread outlives the call, and nothing is set up at import, so the
+sweep's forked workers take the same path. It is a plain ``threading.Thread``:
+a ``concurrent.futures`` executor would import ``logging`` and ``queue`` into
+every process that imports this module, the spectrum-only ones too. Each
+thread makes the same numpy calls on the same inputs as one thread in series
+would, so the outputs are bitwise the serial ones. A step chunk and a tracker
+block are now alive together, so ``STEP_CHUNK`` is 128 rather than 256: that
+keeps a member's peak memory near where the serial form had it, and block
+sizes move no bit.
+
 ``propagate`` is the one-state form. This module propagates one member at
 the offset charge its strip was diagonalized at (``StripConfig.at_charge``
 moves a strip to another); ``sweep`` owns the charge grid and the average
@@ -58,6 +77,7 @@ over it.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +105,7 @@ CF4_WEIGHTS = (0.25 - np.sqrt(3) / 6, 0.25 + np.sqrt(3) / 6)
 EDGE_MERGE_TOL = 1e-9  # ns; a kink or graded edge this close to another edge adds no step
 # sub-steps per Hamiltonian stack, which bounds the stack's memory; even, so
 # every chunk ends on a full step
-STEP_CHUNK = 256
+STEP_CHUNK = 128
 GRADED_EDGES = 6  # graded step edges beside each kink, at dt*2^-j from it, j = 1..6
 MONOTONE_TOL = 1e-12  # photons a ring-up sample may fall by and still count as monotone
 
@@ -291,6 +311,79 @@ def _frame_rate(omega_r: float, drive: DriveConfig, times, alpha, nbar) -> np.nd
     )
 
 
+class _Handoff:
+    """How many leading samples the stepping thread has written, behind a condition.
+
+    The stepping thread publishes its count after each chunk; the reading
+    thread waits for the samples of its next block. Either side ends the
+    handoff: the stepping thread when it returns or raises, leaving its
+    exception in ``error`` for the reading thread to raise, and the reading
+    thread when it is done or has raised, which stops the stepping thread at
+    its next chunk.
+    """
+
+    def __init__(self):
+        self.filled = 1  # the first sample, t = 0, is the prepared state
+        self.ended = False
+        self.error: BaseException | None = None
+        self.condition = threading.Condition()
+
+    def publish(self, filled: int) -> bool:
+        """Record ``filled`` written samples; False once the handoff has ended."""
+        with self.condition:
+            self.filled = filled
+            self.condition.notify()
+            return not self.ended
+
+    def wait(self, filled: int) -> bool:
+        """Block until ``filled`` samples are written (True) or the handoff ends short."""
+        with self.condition:
+            self.condition.wait_for(lambda: self.filled >= filled or self.ended)
+            return self.filled >= filled
+
+    def end(self) -> None:
+        """End the handoff and wake the other side."""
+        with self.condition:
+            self.ended = True
+            self.condition.notify()
+
+
+def _step_samples(strip_cfg, h, nbar_n, rate, sample_edges, psis, handoff) -> None:
+    """Step ``psis[:, 0]`` through every sub-step and write the states at the samples.
+
+    ``h`` holds the full-step lengths, ``nbar_n`` and ``rate`` the photon
+    numbers at the Gauss nodes and the frame rate per sub-step, and
+    ``sample_edges`` the step edge of each sample: edge e is reached after
+    full step e, sub-step 2*e. The step Hamiltonians are built, diagonalized
+    and applied ``STEP_CHUNK`` sub-steps at a time, and each chunk's samples
+    are copied into ``psis`` and published to ``handoff``. An exception is
+    left in ``handoff.error``, not raised on this thread.
+    """
+    kvec = np.arange(strip_cfg.level_count)
+    psi = psis[:, 0].T  # (K, states), as the kernel takes a block of states
+    try:
+        for lo in range(0, len(h), STEP_CHUNK // 2):  # lo: the chunk's first full step
+            hi = lo + STEP_CHUNK // 2
+            part = slice(2 * lo, 2 * hi)
+            # the bonds carry alpha where the lab Hamiltonian has conj(alpha), so a
+            # drive at omega_d acts at 2*omega_r - omega_d; the mend flips this term's
+            # sign and conjugates the lab reference in
+            # test_gauge_optimization_matches_brute_force
+            diag = strip_cfg.rotating_diagonal / 2 - kvec * rate[part, None] / (2 * np.pi)
+            bonds = _cf4_substeps(bond_amplitudes(strip_cfg, nbar_n[lo:hi]))
+            stack = tridiagonal_stack(diag, bonds)
+            steps = evolve_piecewise_constant(stack, np.repeat(h[lo:hi], 2), psi)
+            here = (sample_edges > lo) & (sample_edges <= hi)
+            psis[:, here] = steps[2 * (sample_edges[here] - lo)].transpose(2, 0, 1)
+            psi = steps[-1]
+            if not handoff.publish(np.searchsorted(sample_edges, hi, "right")):
+                return
+    except BaseException as error:  # raised again by the caller, with its traceback
+        handoff.error = error
+    finally:
+        handoff.end()
+
+
 def propagate_states(config: SimulationConfig, states) -> list[PopulationTrace]:
     """``propagate`` for each prepared eigenstate in ``states``, in one pass.
 
@@ -312,30 +405,36 @@ def propagate_states(config: SimulationConfig, states) -> list[PopulationTrace]:
     alpha_n = field_amplitude(drive, nodes.ravel()).reshape(nodes.shape)
     nbar_n = np.abs(alpha_n) ** 2
     rate = _cf4_substeps(_frame_rate(strip_cfg.omega_r, drive, nodes, alpha_n, nbar_n))
-    kvec = np.arange(k_count)
-    # the states at the sample times, copied out as each STEP_CHUNK sub-steps
-    # leave the kernel; edge e is reached after full step e, sub-step 2*e.
-    # Each state's samples are one contiguous (samples, K) array, so
-    # reductions and products round as in a one-state run.
     t_s, nbar_s = _sample_photons(drive, config.dt, config.sample_stride)
-    sample_edges = np.searchsorted(edges, t_s)
+    # each state's samples are one contiguous (samples, K) array, so
+    # reductions and products round as in a one-state run
     psis = np.empty((len(states), len(t_s), k_count), dtype=complex)
     psis[:, 0] = np.eye(k_count)[states]  # the first sample is t = 0
-    psi = psis[:, 0].T  # (K, states), as the kernel takes a block of states
-    for lo in range(0, len(h), STEP_CHUNK // 2):  # lo: the chunk's first full step
-        hi = lo + STEP_CHUNK // 2
-        part = slice(2 * lo, 2 * hi)
-        # the bonds carry alpha where the lab Hamiltonian has conj(alpha), so a
-        # drive at omega_d acts at 2*omega_r - omega_d; the mend flips this term's
-        # sign and conjugates the lab reference in
-        # test_gauge_optimization_matches_brute_force
-        diag = strip_cfg.rotating_diagonal / 2 - kvec * rate[part, None] / (2 * np.pi)
-        bonds = _cf4_substeps(bond_amplitudes(strip_cfg, nbar_n[lo:hi]))
-        stack = tridiagonal_stack(diag, bonds)
-        steps = evolve_piecewise_constant(stack, np.repeat(h[lo:hi], 2), psi)
-        here = (sample_edges > lo) & (sample_edges <= hi)
-        psis[:, here] = steps[2 * (sample_edges[here] - lo)].transpose(2, 0, 1)
-        psi = steps[-1]
+    sample_edges = np.searchsorted(edges, t_s)
+    handoff = _Handoff()
+    populations = np.empty(psis.shape)
+    flagged = []
+    helper = threading.Thread(
+        target=_step_samples, args=(strip_cfg, h, nbar_n, rate, sample_edges, psis, handoff)
+    )
+    helper.start()
+    try:
+        # instantaneous eigenbasis at sample times, tracked from the bare
+        # labels; each block is read out once its states are in, and dropped
+        done = 0
+        for _, vectors, block_flags in _tracked_blocks(strip_cfg, nbar_s):
+            block = slice(done, done + len(vectors))
+            if not handoff.wait(block.stop):
+                break  # the helper raised
+            for pops, state_psis in zip(populations, psis):
+                pops[block] = _populations(vectors, state_psis[block])
+            flagged += block_flags
+            done += len(vectors)
+    finally:
+        handoff.end()  # stops the helper if the tracker raised
+        helper.join()
+    if handoff.error is not None:
+        raise handoff.error
 
     norms = np.linalg.norm(psis, axis=2)
     if not np.all(np.abs(norms - 1.0) <= NORM_TOL):
@@ -343,17 +442,6 @@ def propagate_states(config: SimulationConfig, states) -> list[PopulationTrace]:
             f"norm drifted to {np.max(np.abs(norms - 1.0)):.3g} (> {NORM_TOL}); "
             "propagator defect"
         )
-    # instantaneous eigenbasis at sample times, tracked from the bare labels;
-    # each block of samples is read out and its vectors dropped
-    populations = np.empty(psis.shape)
-    flagged = []
-    done = 0
-    for _, vectors, block_flags in _tracked_blocks(strip_cfg, nbar_s):
-        block = slice(done, done + len(vectors))
-        for pops, state_psis in zip(populations, psis):
-            pops[block] = _populations(vectors, state_psis[block])
-        flagged += block_flags
-        done += len(vectors)
     return [
         PopulationTrace(
             times=t_s.copy(),

@@ -270,18 +270,22 @@ def _tracked_blocks(config: StripConfig, nbar: np.ndarray):
         columns = np.empty(evals.shape, dtype=int)
         if prev is None:  # branch j is anchored to the eigenvector of bare level j
             columns[0, np.argmax(np.abs(evecs[0]), axis=0)] = np.arange(evals.shape[1])
-            first, before, order = 1, evecs[:-1], columns[0]
+            first, order = 1, columns[0]
         else:  # prev is in branch order already
-            first, before = 0, np.concatenate((prev[None], evecs[:-1]))
-            order = np.arange(evals.shape[1])
-        best_cols, ok = _row_maxima_assign(
-            np.abs(np.matmul(before.transpose(0, 2, 1), evecs[first:]))
-        )
+            first, order = 0, np.arange(evals.shape[1])
+        # |overlap| of each point from ``first`` on with the point before it,
+        # the block's first point with prev
+        overlap = np.empty((len(evecs) - first, *evecs.shape[1:]))
+        np.matmul(evecs[:-1].transpose(0, 2, 1), evecs[1:], out=overlap[1 - first :])
+        if prev is not None:
+            np.matmul(prev.T, evecs[0], out=overlap[0])
+        best_cols, ok = _row_maxima_assign(np.abs(overlap, out=overlap))
         flagged = []
-        for i, rows, best, accept in zip(range(first, len(evecs)), before, best_cols, ok):
+        for i, best, accept in zip(range(first, len(evecs)), best_cols, ok):
             if accept:
                 columns[i] = best[order]
             else:
+                rows = evecs[i - 1] if i else prev
                 columns[i], low, ambiguous = match_branches(rows[:, order], evecs[i])
                 if low or ambiguous:
                     flagged.append(lo + i)
@@ -304,7 +308,9 @@ def tracked_eigenbasis(
     whole-grid form of ``_tracked_blocks``, whose blocks it concatenates.
 
     The overlaps of consecutive points in a block come from one stacked
-    product of the eigenvectors in eigenvalue order. A branch order only
+    product of the eigenvectors in eigenvalue order, and a block's first
+    point's from one product with the vectors ending the block before; no
+    copy of the previous vectors is made. A branch order only
     permutes the rows of an overlap, which leaves the row-maxima test
     unchanged, so the test runs on every point of a block at once and the
     orders compose as integer permutations; where it accepts,

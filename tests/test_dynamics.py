@@ -1,3 +1,6 @@
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -716,3 +719,94 @@ def test_simulation_stores_plain_counts(ref_strip, ref_drive):
         strip=ref_strip, drive=ref_drive, initial_state=np.int64(1), sample_stride=np.int32(2)
     )
     assert type(sim.initial_state) is int and type(sim.sample_stride) is int
+
+
+def test_no_thread_outlives_a_member(monkeypatch):
+    # the stepping thread is joined before propagate_states returns or raises
+    sim = SweepConfig(duration=20.0).simulation(1.1, 0.2)
+    before = threading.active_count()
+    propagate_states(sim, [0, 1])
+    assert threading.active_count() == before
+    monkeypatch.setattr(dynamics, "NORM_TOL", -1.0)
+    with pytest.raises(RuntimeError, match="norm drifted"):
+        propagate_states(sim, [0, 1])
+    assert threading.active_count() == before
+
+
+def test_stepping_error_reaches_the_caller(monkeypatch):
+    def broken_kernel(*args):
+        raise FloatingPointError("kernel broke at step 0")
+
+    monkeypatch.setattr(dynamics, "evolve_piecewise_constant", broken_kernel)
+    before = threading.active_count()
+    raised = []
+
+    def run():
+        with pytest.raises(FloatingPointError, match="kernel broke at step 0"):
+            propagate(SweepConfig(duration=20.0).simulation(1.1, 0.2))
+        raised.append(True)
+
+    # a caller left waiting for samples that never come fails here, not by hanging
+    caller = threading.Thread(target=run, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive() and raised
+    assert threading.active_count() == before
+
+
+def test_tracker_error_stops_the_stepping(monkeypatch):
+    # about 64 step chunks at dt 0.025; the stepping thread must stop at the
+    # next chunk once the tracker has raised, not run to the end of the pulse
+    original = dynamics.evolve_piecewise_constant
+    chunks = []
+
+    def counted_kernel(*args):
+        chunks.append(len(args[0]))
+        return original(*args)
+
+    def broken_tracker(config, nbar):
+        raise ValueError("tracker broke")
+        yield
+
+    monkeypatch.setattr(dynamics, "evolve_piecewise_constant", counted_kernel)
+    monkeypatch.setattr(dynamics, "_tracked_blocks", broken_tracker)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="tracker broke"):
+        propagate_states(SweepConfig(dt=0.025).simulation(1.1, 0.2), [0, 1])
+    assert threading.active_count() == before
+    assert len(chunks) < 16
+
+
+def test_read_out_waits_for_the_stepping(monkeypatch):
+    # a slowed kernel leaves the tracker ahead of the stepping in every block,
+    # and three members at once with a short switch interval interleave the
+    # threads finely; a read-out that did not wait would read unwritten states
+    sim = SweepConfig(duration=30.0).simulation(1.1, 0.2)
+    reference = propagate_states(sim, [0, 1])
+    original = dynamics.evolve_piecewise_constant
+
+    def slow_kernel(*args):
+        time.sleep(0.005)
+        return original(*args)
+
+    monkeypatch.setattr(dynamics, "evolve_piecewise_constant", slow_kernel)
+    results = [None] * 3
+
+    def run(i):
+        results[i] = propagate_states(sim, [0, 1])
+
+    threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for result in results:
+        for a, b in zip(result, reference, strict=True):
+            assert np.array_equal(a.populations, b.populations)
+            assert np.array_equal(a.norm, b.norm)
