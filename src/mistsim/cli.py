@@ -61,16 +61,11 @@ def _build_config(args) -> SweepConfig:
     if args.config:
         with open(args.config) as fh:
             data = json.load(fh)
-    for key in CONFIG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            data[key] = value
-    # flags may switch the coupling source; keep exactly one of g / k_eff
-    if getattr(args, "g", None) is not None and getattr(args, "k_eff", None) is None:
-        data["k_eff"] = None
-    if getattr(args, "k_eff", None) is not None and getattr(args, "g", None) is None:
-        data["g"] = None
-    return SweepConfig.from_dict(data)
+    flags = {key: getattr(args, key, None) for key in CONFIG_KEYS}
+    flags = {key: value for key, value in flags.items() if value is not None}
+    if flags.keys() & {"g", "k_eff"}:  # a coupling flag replaces the file's coupling source
+        data = {key: value for key, value in data.items() if key not in ("g", "k_eff")}
+    return SweepConfig.from_dict({**data, **flags})
 
 
 def _header(config: SweepConfig, extra: list[str] | None = None) -> list[str]:

@@ -56,15 +56,21 @@ the GIL, so they run at once. A helper thread, started and joined inside
 each ``propagate_states`` call, builds, diagonalizes and applies the step
 chunks and copies out the sample-time states (``_step_samples``). The
 calling thread meanwhile tracks the sample basis, and reads each block out
-once the helper has published that block's last sample (``_Handoff``). An
-exception on either thread ends the handoff: one on the helper is raised
-again in the caller, and one in the caller stops the helper at its next
-chunk. No thread outlives the call, and nothing is set up at import, so the
-sweep's forked workers take the same path. It is a plain ``threading.Thread``:
-a ``concurrent.futures`` executor would import ``logging`` and ``queue`` into
-every process that imports this module, the spectrum-only ones too. Each
-thread makes the same numpy calls on the same inputs as one thread in series
-would, so the outputs are bitwise the serial ones. A step chunk and a tracker
+once the helper has written that block's last sample. The two threads share
+three plain primitives. After each chunk the helper appends its count of
+written samples to a ``deque`` and releases a ``Semaphore``; the caller
+acquires and pops counts until its block is in. An exception on the helper
+is appended in place of a count, and the caller raises it again. The
+caller sets an ``Event`` before it joins the helper, which stops the helper
+at its next chunk if the caller raised. No thread outlives the call, and
+nothing is set up at import, so the sweep's forked workers take the same
+path. It is a plain ``threading.Thread`` with no ``queue.SimpleQueue`` and
+no ``concurrent.futures`` executor: importing ``queue`` raised the peak RSS
+of a script that runs one fan diagram by 0.1-0.5 MB, and an executor would
+also import ``logging``, into every process that imports this module, the
+spectrum-only ones too. Each thread makes the same numpy calls on the same
+inputs as one thread in series would, so the outputs are bitwise the serial
+ones. A step chunk and a tracker
 block are now alive together, so ``STEP_CHUNK`` is 128 rather than 256: that
 keeps a member's peak memory near where the serial form had it, and block
 sizes move no bit.
@@ -78,6 +84,7 @@ over it.
 from __future__ import annotations
 
 import threading
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -311,58 +318,25 @@ def _frame_rate(omega_r: float, drive: DriveConfig, times, alpha, nbar) -> np.nd
     )
 
 
-class _Handoff:
-    """How many leading samples the stepping thread has written, behind a condition.
-
-    The stepping thread publishes its count after each chunk; the reading
-    thread waits for the samples of its next block. Either side ends the
-    handoff: the stepping thread when it returns or raises, leaving its
-    exception in ``error`` for the reading thread to raise, and the reading
-    thread when it is done or has raised, which stops the stepping thread at
-    its next chunk.
-    """
-
-    def __init__(self):
-        self.filled = 1  # the first sample, t = 0, is the prepared state
-        self.ended = False
-        self.error: BaseException | None = None
-        self.condition = threading.Condition()
-
-    def publish(self, filled: int) -> bool:
-        """Record ``filled`` written samples; False once the handoff has ended."""
-        with self.condition:
-            self.filled = filled
-            self.condition.notify()
-            return not self.ended
-
-    def wait(self, filled: int) -> bool:
-        """Block until ``filled`` samples are written (True) or the handoff ends short."""
-        with self.condition:
-            self.condition.wait_for(lambda: self.filled >= filled or self.ended)
-            return self.filled >= filled
-
-    def end(self) -> None:
-        """End the handoff and wake the other side."""
-        with self.condition:
-            self.ended = True
-            self.condition.notify()
-
-
-def _step_samples(strip_cfg, h, nbar_n, rate, sample_edges, psis, handoff) -> None:
+def _step_samples(strip_cfg, h, nbar_n, rate, sample_edges, psis, written, ready, stop) -> None:
     """Step ``psis[:, 0]`` through every sub-step and write the states at the samples.
 
     ``h`` holds the full-step lengths, ``nbar_n`` and ``rate`` the photon
     numbers at the Gauss nodes and the frame rate per sub-step, and
     ``sample_edges`` the step edge of each sample: edge e is reached after
     full step e, sub-step 2*e. The step Hamiltonians are built, diagonalized
-    and applied ``STEP_CHUNK`` sub-steps at a time, and each chunk's samples
-    are copied into ``psis`` and published to ``handoff``. An exception is
-    left in ``handoff.error``, not raised on this thread.
+    and applied ``STEP_CHUNK`` sub-steps at a time. After each chunk its
+    samples are copied into ``psis``, the count of samples written so far is
+    appended to ``written`` and ``ready`` is released; an exception is
+    appended in its place, not raised on this thread. The next chunk does not
+    start once ``stop`` is set.
     """
     kvec = np.arange(strip_cfg.level_count)
     psi = psis[:, 0].T  # (K, states), as the kernel takes a block of states
     try:
         for lo in range(0, len(h), STEP_CHUNK // 2):  # lo: the chunk's first full step
+            if stop.is_set():
+                return
             hi = lo + STEP_CHUNK // 2
             part = slice(2 * lo, 2 * hi)
             # the bonds carry alpha where the lab Hamiltonian has conj(alpha), so a
@@ -376,12 +350,11 @@ def _step_samples(strip_cfg, h, nbar_n, rate, sample_edges, psis, handoff) -> No
             here = (sample_edges > lo) & (sample_edges <= hi)
             psis[:, here] = steps[2 * (sample_edges[here] - lo)].transpose(2, 0, 1)
             psi = steps[-1]
-            if not handoff.publish(np.searchsorted(sample_edges, hi, "right")):
-                return
+            written.append(np.searchsorted(sample_edges, hi, "right"))
+            ready.release()
     except BaseException as error:  # raised again by the caller, with its traceback
-        handoff.error = error
-    finally:
-        handoff.end()
+        written.append(error)
+        ready.release()
 
 
 def propagate_states(config: SimulationConfig, states) -> list[PopulationTrace]:
@@ -411,30 +384,32 @@ def propagate_states(config: SimulationConfig, states) -> list[PopulationTrace]:
     psis = np.empty((len(states), len(t_s), k_count), dtype=complex)
     psis[:, 0] = np.eye(k_count)[states]  # the first sample is t = 0
     sample_edges = np.searchsorted(edges, t_s)
-    handoff = _Handoff()
     populations = np.empty(psis.shape)
     flagged = []
+    written, ready, stop = deque(), threading.Semaphore(0), threading.Event()
     helper = threading.Thread(
-        target=_step_samples, args=(strip_cfg, h, nbar_n, rate, sample_edges, psis, handoff)
+        target=_step_samples,
+        args=(strip_cfg, h, nbar_n, rate, sample_edges, psis, written, ready, stop),
     )
     helper.start()
     try:
         # instantaneous eigenbasis at sample times, tracked from the bare
         # labels; each block is read out once its states are in, and dropped
-        done = 0
+        filled, done = 1, 0  # the first sample, t = 0, is the prepared state
         for _, vectors, block_flags in _tracked_blocks(strip_cfg, nbar_s):
             block = slice(done, done + len(vectors))
-            if not handoff.wait(block.stop):
-                break  # the helper raised
+            while filled < block.stop:
+                ready.acquire()
+                filled = written.popleft()
+                if isinstance(filled, BaseException):
+                    raise filled
             for pops, state_psis in zip(populations, psis):
                 pops[block] = _populations(vectors, state_psis[block])
             flagged += block_flags
-            done += len(vectors)
+            done = block.stop
     finally:
-        handoff.end()  # stops the helper if the tracker raised
+        stop.set()  # stops the helper if the tracker raised
         helper.join()
-    if handoff.error is not None:
-        raise handoff.error
 
     norms = np.linalg.norm(psis, axis=2)
     if not np.all(np.abs(norms - 1.0) <= NORM_TOL):

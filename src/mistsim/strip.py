@@ -249,39 +249,39 @@ def _tracked_blocks(config: StripConfig, nbar: np.ndarray):
     """``tracked_eigenbasis`` ``TRACK_CHUNK`` points at a time.
 
     Yields (energies, vectors, flagged) for each block of points in turn;
-    ``flagged`` holds indices into the whole grid. A block's first point is
-    matched to the branch-ordered eigenvectors at the last point of the block
-    before it, which are the previous vectors a point-by-point tracker would
-    pass ``match_branches``, so blocks of any size give the same labels, flags
-    and bits.
+    ``flagged`` holds indices into the whole grid. ``nbar`` must be finite
+    and start at 0. The grid's first point is matched against the bare basis,
+    whose column j is bare level j, by the same row-maxima test and
+    ``match_branches`` fallback as every other point. A later block's first
+    point is matched to the branch-ordered eigenvectors at the last point of
+    the block before it, which are the previous vectors a point-by-point
+    tracker would pass ``match_branches``, so blocks of any size give the
+    same labels, flags and bits.
     """
     nbar = np.asarray(nbar, float)
+    _check_finite("nbar", nbar)
     if nbar[0] != 0.0:
         raise ValueError(
             f"nbar must start at 0 to anchor branch labels, got nbar[0] = {nbar[0]}"
         )
-    prev = None  # branch-ordered eigenvectors at the last point of the previous block
+    # branch-ordered vectors before each block's first point: the bare basis,
+    # so branch j starts on bare level j, then the block before's last point
+    prev = np.eye(config.level_count)
     for lo in range(0, len(nbar), TRACK_CHUNK):
         evals, evecs = np.linalg.eigh(
             tridiagonal_stack(
                 config.rotating_diagonal, bond_amplitudes(config, nbar[lo : lo + TRACK_CHUNK])
             )
         )
-        columns = np.empty(evals.shape, dtype=int)
-        if prev is None:  # branch j is anchored to the eigenvector of bare level j
-            columns[0, np.argmax(np.abs(evecs[0]), axis=0)] = np.arange(evals.shape[1])
-            first, order = 1, columns[0]
-        else:  # prev is in branch order already
-            first, order = 0, np.arange(evals.shape[1])
-        # |overlap| of each point from ``first`` on with the point before it,
-        # the block's first point with prev
-        overlap = np.empty((len(evecs) - first, *evecs.shape[1:]))
-        np.matmul(evecs[:-1].transpose(0, 2, 1), evecs[1:], out=overlap[1 - first :])
-        if prev is not None:
-            np.matmul(prev.T, evecs[0], out=overlap[0])
+        # |overlap| of each point with the point before it, the first with prev
+        overlap = np.empty(evecs.shape)
+        np.matmul(prev.T, evecs[0], out=overlap[0])
+        np.matmul(evecs[:-1].transpose(0, 2, 1), evecs[1:], out=overlap[1:])
         best_cols, ok = _row_maxima_assign(np.abs(overlap, out=overlap))
+        columns = np.empty(evals.shape, dtype=int)
+        order = np.arange(evals.shape[1])  # prev is in branch order already
         flagged = []
-        for i, best, accept in zip(range(first, len(evecs)), best_cols, ok):
+        for i, (best, accept) in enumerate(zip(best_cols, ok)):
             if accept:
                 columns[i] = best[order]
             else:
@@ -300,7 +300,8 @@ def tracked_eigenbasis(
 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Instantaneous eigenbasis at each photon number, in branch order.
 
-    ``nbar`` must start at 0, so branch j is anchored to the eigenvector of
+    ``nbar`` must be finite and start at 0. The first point is matched
+    against the bare basis, so branch j is anchored to the eigenvector of
     bare level j; each later point is matched to the previous one by
     ``match_branches``. Returns (energies, vectors, flagged): ``energies[i, j]``
     and ``vectors[i, :, j]`` belong to branch j at point i, and ``flagged``
@@ -309,8 +310,8 @@ def tracked_eigenbasis(
 
     The overlaps of consecutive points in a block come from one stacked
     product of the eigenvectors in eigenvalue order, and a block's first
-    point's from one product with the vectors ending the block before; no
-    copy of the previous vectors is made. A branch order only
+    point's from one product with the bare basis or the vectors ending the
+    block before; no copy of the previous vectors is made. A branch order only
     permutes the rows of an overlap, which leaves the row-maxima test
     unchanged, so the test runs on every point of a block at once and the
     orders compose as integer permutations; where it accepts,
@@ -367,8 +368,8 @@ def find_avoided_crossings(
 
     Only interior minima are reported; the refined gap must fall inside
     [min_gap, max_gap]. The half-gap is reported as the effective coupling.
-    Records come in pair order, then grid order. The grid must ascend
-    strictly and hold one point per branch column.
+    Records come in pair order, then grid order. The grid must be finite,
+    ascend strictly and hold one point per branch column.
     """
     # a NaN bound or an inverted window would silently report no crossing
     if not min_gap <= max_gap:
@@ -379,6 +380,7 @@ def find_avoided_crossings(
             f"nbar_grid has {len(x)} points but branches have "
             f"{spectrum.branches.shape[1]} columns"
         )
+    _check_finite("nbar_grid", x)  # NaN passes the ascent test
     if np.any(np.diff(x) <= 0):
         raise ValueError("nbar_grid must be sorted strictly ascending")
     if len(x) < 3:

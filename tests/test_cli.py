@@ -73,6 +73,20 @@ class TestCalibrate:
         report = json.loads(out)
         assert report["g"] == pytest.approx(0.126513 / 2, abs=1e-5)
 
+    @pytest.mark.parametrize(
+        "config, flags, g",
+        [({"g": 0.1}, ["--k-eff", "0.05"], 0.1318), ({"k_eff": 0.03}, ["--g", "0.12"], 0.12)],
+        ids=["k_eff-flag-over-g-file", "g-flag-over-k_eff-file"],
+    )
+    def test_coupling_flag_replaces_the_file_source(self, capsys, tmp_path, config, flags, g):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        code, out, _ = run_cli(
+            capsys, "calibrate", "--config", str(cfg_path), "--delta", "1.1", *flags
+        )
+        assert code == 0
+        assert json.loads(out)["g"] == pytest.approx(g, abs=1e-4)
+
 
 class TestFan:
     def test_outputs(self, capsys, tmp_path):
@@ -300,6 +314,7 @@ class TestErrorHandling:
                 "--target-level and --nbar-cross must be given together",
             ),
             (["calibrate", "--levels", "2"], "anharmonicity needs at least 3 levels, got 2"),
+            (["calibrate", "--g", "0.12", "--k-eff", "0.05"], "specify exactly one of g, k_eff"),
             (
                 ["calibrate", "--target-level", "3", "--nbar-cross", "inf"],
                 "nbar_cross must be finite, got inf",
@@ -336,6 +351,7 @@ class TestErrorHandling:
             "calibrate-nbar-cross-alone",
             "calibrate-target-level-alone",
             "calibrate-two-levels",
+            "calibrate-g-and-k_eff",
             "calibrate-nbar-cross-inf",
             "calibrate-nbar-cross-overflow",
             "calibrate-stark-overflow",
@@ -379,10 +395,13 @@ class TestErrorHandling:
 
 class TestStartup:
     def test_import_loads_no_scipy(self):
-        # scipy.optimize alone used to cost 0.4 s and 45 MB of every start-up
+        # scipy.optimize alone used to cost 0.4 s and 45 MB of every start-up;
+        # queue, logging and concurrent.futures each cost every process memory,
+        # so a member's two threads share plain threading primitives
+        unwanted = "('scipy', 'queue', 'logging', 'concurrent')"
         code = (
             "import sys, mistsim, mistsim.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] in {unwanted}))"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(mistsim.__file__).parents[1]))
         out = subprocess.run(

@@ -201,6 +201,10 @@ class TestFanDiagram:
             fan_diagram(ref_strip, np.array([0.0, 2.0, 1.0]))
         with pytest.raises(ValueError, match="nbar_grid must be non-empty"):
             fan_diagram(ref_strip, [])
+        # NaN passes the ascent test; both ended in "Eigenvalues did not converge"
+        for grid in ([0.0, 1.0, np.nan, 3.0], [0.0, 1.0, np.inf]):
+            with pytest.raises(ValueError, match="nbar must be finite"):
+                fan_diagram(ref_strip, grid)
 
     def test_csv_export(self, ref_fan, tmp_path):
         path = tmp_path / "fan.csv"
@@ -375,6 +379,18 @@ class TestAvoidedCrossings:
         branches = np.vstack([np.zeros(4), [1.0, 0.5, 0.4, 1.0]])
         with pytest.raises(ValueError, match="strictly ascending"):
             find_avoided_crossings(SpectrumResult(grid, branches), 0.0, 10.0)
+
+    def test_non_finite_grid_rejected(self, ref_fan):
+        # a NaN at the (0, 9) crossing's point used to drop that crossing silently
+        (rec,) = [
+            r
+            for r in find_avoided_crossings(ref_fan, min_gap=1e-3, max_gap=0.1)
+            if (r.branch_a, r.branch_b) == (0, 9)
+        ]
+        grid = ref_fan.nbar_grid.copy()
+        grid[np.argmin(np.abs(grid - rec.nbar_cross))] = np.nan
+        with pytest.raises(ValueError, match="nbar_grid must be finite"):
+            find_avoided_crossings(SpectrumResult(grid, ref_fan.branches), 1e-3, 0.1)
 
     def test_grid_of_another_length_rejected(self):
         # used to report crossings at 2.5 and 7.5 photons on a grid twice as long
