@@ -20,7 +20,14 @@ from .dynamics import propagate, survival_vs_nbar
 from .field import evolve_field_numeric
 from .output import json_text, provenance, write_json
 from .strip import fan_diagram, find_avoided_crossings, g_eff_perturbative
-from .sweep import SweepConfig, config_hash, run_oracle_check, run_sweep, strip_for_detuning
+from .sweep import (
+    SweepConfig,
+    _read_config,
+    config_hash,
+    run_oracle_check,
+    run_sweep,
+    strip_for_detuning,
+)
 from .transmon import _check_finite, k_bend
 
 CONFIG_KEYS = [f.name for f in dataclasses.fields(SweepConfig)]
@@ -57,10 +64,7 @@ def _add_physics_flags(parser: argparse.ArgumentParser, drive: bool = False) -> 
 
 
 def _build_config(args) -> SweepConfig:
-    data = {}
-    if args.config:
-        with open(args.config) as fh:
-            data = json.load(fh)
+    data = _read_config(args.config) if args.config else {}
     flags = {key: getattr(args, key, None) for key in CONFIG_KEYS}
     flags = {key: value for key, value in flags.items() if value is not None}
     if flags.keys() & {"g", "k_eff"}:  # a coupling flag replaces the file's coupling source

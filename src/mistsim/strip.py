@@ -19,8 +19,11 @@ every gap minimum in one closed-form pass.
 The one branch tracker, ``_tracked_blocks``, diagonalizes, overlaps and
 matches ``TRACK_CHUNK`` points at a time, each block continuing from the
 branch-ordered vectors at the end of the block before, so a long grid costs
-time, not memory. ``dynamics`` reads populations out of each block and drops
-it; ``tracked_eigenbasis`` and ``fan_diagram`` concatenate the blocks.
+time, not memory. Each block's eigenvectors and overlaps (sorted in place)
+are dropped at their last use, and its branch-ordered vectors once the
+consumer takes the next block, so the tracker holds one block's arrays at a
+time. ``dynamics`` reads populations out of each block and drops it;
+``tracked_eigenbasis`` and ``fan_diagram`` concatenate the blocks.
 """
 
 from __future__ import annotations
@@ -50,9 +53,10 @@ __all__ = [
 TIE_TOL = 1e-6
 #: Best overlap below which ``match_branches`` calls a match low-overlap.
 LOW_OVERLAP = 0.5
-#: Points diagonalized and tracked at a time: a tracker's working memory is a
-#: few (TRACK_CHUNK, K, K) stacks, whatever the length of the grid.
-TRACK_CHUNK = 256
+#: Points diagonalized and tracked at a time: a tracker's working memory is
+#: two (TRACK_CHUNK, K, K) stacks at most, whatever the length of the grid;
+#: 128, as the propagation's ``dynamics.STEP_CHUNK``.
+TRACK_CHUNK = 128
 
 
 def _check_coupling(g: float | None, k_eff: float | None) -> None:
@@ -205,13 +209,14 @@ def _row_maxima_assign(overlap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     They are the assignment of a matrix when they are distinct, each row's
     top overlap beats its second by more than ``TIE_TOL`` and every top is at
     least ``LOW_OVERLAP``: then ``match_branches`` returns them too, with no flag.
-    Returns (best_cols, ok); ``ok`` has the stack's leading shape.
+    Returns (best_cols, ok); ``ok`` has the stack's leading shape. Each row of
+    ``overlap`` is left sorted ascending.
     """
     best_cols = np.argmax(overlap, axis=-1)
     distinct = np.all(np.diff(np.sort(best_cols, axis=-1), axis=-1) > 0, axis=-1)
-    sorted_rows = np.sort(overlap, axis=-1)
-    top = sorted_rows[..., -1]
-    second = sorted_rows[..., -2]
+    overlap.sort(axis=-1)  # in place: a sorted copy would be the largest temporary
+    top = overlap[..., -1]
+    second = overlap[..., -2]
     clear = np.all((top - second > TIE_TOL) & (top >= LOW_OVERLAP), axis=-1)
     return best_cols, distinct & clear
 
@@ -290,9 +295,14 @@ def _tracked_blocks(config: StripConfig, nbar: np.ndarray):
                 if low or ambiguous:
                     flagged.append(lo + i)
             order = columns[i]
+        # drop every temporary at its last use, and the block's vectors once
+        # the caller has them, so no two blocks' stacks are alive at once
+        del overlap, best_cols, ok
         vectors = np.take_along_axis(evecs, columns[:, None, :], axis=2)
+        del evecs
         prev = vectors[-1].copy()
         yield np.take_along_axis(evals, columns, axis=1), vectors, flagged
+        del vectors
 
 
 def tracked_eigenbasis(
@@ -368,8 +378,9 @@ def find_avoided_crossings(
 
     Only interior minima are reported; the refined gap must fall inside
     [min_gap, max_gap]. The half-gap is reported as the effective coupling.
-    Records come in pair order, then grid order. The grid must be finite,
-    ascend strictly and hold one point per branch column.
+    Records come in pair order, then grid order. The grid and the branches
+    must be finite, and the grid must ascend strictly and hold one point per
+    branch column.
     """
     # a NaN bound or an inverted window would silently report no crossing
     if not min_gap <= max_gap:
@@ -383,6 +394,13 @@ def find_avoided_crossings(
     _check_finite("nbar_grid", x)  # NaN passes the ascent test
     if np.any(np.diff(x) <= 0):
         raise ValueError("nbar_grid must be sorted strictly ascending")
+    # a NaN gap is no minimum and spoils its neighbours' tests
+    bad = np.argwhere(~np.isfinite(spectrum.branches))
+    if len(bad):
+        j, i = bad[0]
+        raise ValueError(
+            f"branches must be finite, got {spectrum.branches[j, i]} in branch {j} at point {i}"
+        )
     if len(x) < 3:
         raise ValueError("need at least 3 grid points to locate crossings")
     a, b = np.triu_indices(spectrum.branches.shape[0], 1)

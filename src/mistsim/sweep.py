@@ -31,7 +31,6 @@ import re
 import time
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field, replace
-from multiprocessing import Pool
 
 import numpy as np
 
@@ -209,8 +208,16 @@ class SweepConfig:
 
     @classmethod
     def from_json(cls, path) -> "SweepConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(_read_config(path))
+
+
+def _read_config(path) -> dict:
+    """The settings of the JSON config file at ``path``, which must hold an object."""
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"config file {path} must hold a JSON object, got {type(data).__name__}")
+    return data
 
 
 def config_hash(config: SweepConfig) -> str:
@@ -381,6 +388,9 @@ def run_sweep(config: SweepConfig) -> SweepResult:
             if config.workers == 1:
                 results = map(_point_survival, tasks)
             else:
+                # imported here, so a process that starts no pool never loads it
+                from multiprocessing import Pool
+
                 pool = stack.enter_context(Pool(min(config.workers, len(tasks))))
                 results = pool.imap(_point_survival, tasks)
             for curves in results:

@@ -397,8 +397,9 @@ class TestStartup:
     def test_import_loads_no_scipy(self):
         # scipy.optimize alone used to cost 0.4 s and 45 MB of every start-up;
         # queue, logging and concurrent.futures each cost every process memory,
-        # so a member's two threads share plain threading primitives
-        unwanted = "('scipy', 'queue', 'logging', 'concurrent')"
+        # so a member's two threads share plain threading primitives; only a
+        # sweep with more than one worker needs multiprocessing
+        unwanted = "('scipy', 'queue', 'logging', 'concurrent', 'multiprocessing')"
         code = (
             "import sys, mistsim, mistsim.cli; "
             f"print(sorted(m for m in sys.modules if m.split('.')[0] in {unwanted}))"
@@ -429,4 +430,28 @@ def test_config_file_setting_of_the_wrong_kind(capsys, tmp_path, config, detail)
     assert code == 1
     assert json.loads(err) == {"error": "ValueError", "detail": detail}
     assert stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "content, kind",
+    [("[1, 2]", "list"), ("0.2", "float"), ("null", "NoneType")],
+    ids=["list", "number", "null"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [["calibrate", "--delta", "1.1"], ["calibrate", "--delta", "1.1", "--g", "0.12"], ["sweep"]],
+    ids=["calibrate", "calibrate-coupling-flag", "sweep"],
+)
+def test_config_file_that_is_not_an_object(capsys, tmp_path, content, kind, argv):
+    # a list exited 1 with "'list' object is not a mapping", which named no file
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(content)
+    out = tmp_path / "o"
+    code, stdout, err = run_cli(capsys, *argv, "--config", str(cfg_path), "--out", str(out))
+    assert code == 1 and stdout == ""
+    assert json.loads(err) == {
+        "error": "ValueError",
+        "detail": f"config file {cfg_path} must hold a JSON object, got {kind}",
+    }
     assert not out.exists()

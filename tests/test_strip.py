@@ -392,6 +392,23 @@ class TestAvoidedCrossings:
         with pytest.raises(ValueError, match="nbar_grid must be finite"):
             find_avoided_crossings(SpectrumResult(grid, ref_fan.branches), 1e-3, 0.1)
 
+    def test_non_finite_branches_rejected(self, ref_fan):
+        # a NaN in branch 9 at the (0, 9) crossing's point used to drop that
+        # crossing silently, 9 records of 10
+        (rec,) = [
+            r
+            for r in find_avoided_crossings(ref_fan, min_gap=1e-3, max_gap=0.1)
+            if (r.branch_a, r.branch_b) == (0, 9)
+        ]
+        point = int(np.argmin(np.abs(ref_fan.nbar_grid - rec.nbar_cross)))
+        for value in (np.nan, np.inf):
+            branches = ref_fan.branches.copy()
+            branches[9, point] = value
+            with pytest.raises(
+                ValueError, match=f"branches must be finite, got {value} in branch 9 at point {point}"
+            ):
+                find_avoided_crossings(SpectrumResult(ref_fan.nbar_grid, branches), 1e-3, 0.1)
+
     def test_grid_of_another_length_rejected(self):
         # used to report crossings at 2.5 and 7.5 photons on a grid twice as long
         grid = np.linspace(0.0, 20.0, 201)

@@ -2,6 +2,7 @@ import dataclasses
 import filecmp
 import inspect
 import json
+import multiprocessing
 import os
 
 import numpy as np
@@ -191,13 +192,14 @@ class TestRunSweep:
 
     def test_pool_sized_to_points_and_run_info_counts(self, monkeypatch, tmp_path):
         sizes = []
-        real_pool = sweep_mod.Pool
+        real_pool = multiprocessing.Pool
 
         def recording_pool(processes):
             sizes.append(processes)
             return real_pool(processes)
 
-        monkeypatch.setattr(sweep_mod, "Pool", recording_pool)
+        # run_sweep imports Pool where it starts one
+        monkeypatch.setattr(multiprocessing, "Pool", recording_pool)
         out = tmp_path / "run"
         cfg = small_config(
             delta_grid=[1.1],
